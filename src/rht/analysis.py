@@ -4,10 +4,11 @@ Covers the n-norm, matrix periods, the exact error-norm curve of the
 squared scaled matrix, Freundlich power-law fitting, quasi-periodicity
 checks, Hadamard column matching, and intensity-diagram rendering.
 
-The norm curve is computed in exact integer arithmetic: the ternary matrix
-is squared (float64 matmul is exact here because every partial sum is an
-integer far below 2**53), the residual against n*I is summed as int64, and
-the rational mu**2 = q / n**4 is only converted to a float at the edge.
+The norm curve is computed in exact integer arithmetic from one row of the
+squared ternary matrix per divisor of n (see _even_power_residual; float64
+matmul is exact there because every partial sum is an integer far below
+2**53), and the rational mu**2 = q / n**4 is only converted to a float at
+the edge.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import build_rht_matrix
 from .transform2d import GrayImage
@@ -132,17 +132,40 @@ def matrix_period(m, max_k: int, tol: float = 1e-9) -> Optional[int]:
     return None
 
 
+def _even_power_residual(n: int, k: int) -> int:
+    """Integer q = sum of squares of the entries of (H_n**k - n**(k/2) I), k even.
+
+    H[i, j] = r[i*j mod n], so for every unit u mod n H[u*i, j/u] = H[i, j],
+    hence H**k[u*i, u*j] = H**k[i, j] for even k.  The rows i with
+    gcd(i, n) = d form one orbit under the units, and rows of one orbit have
+    equal square sums, so q needs one row per divisor d, weighted by the
+    orbit size.  Exact while n**k < 2**53, which bounds every float64
+    partial sum.
+    """
+    h = build_rht_matrix(n).entries.astype(np.float64)
+    orbit_sizes = np.bincount(np.gcd(np.arange(n), n))
+    divisors = np.flatnonzero(orbit_sizes)
+    rows = divisors % n
+    power = h[rows]
+    for _ in range(k - 1):
+        power = power @ h
+    residual = power.astype(np.int64)
+    residual[np.arange(len(rows)), rows] -= n ** (k // 2)
+    # each row sum fits int64 when n * max|entry|**2 does; else Python ints
+    if n * int(np.abs(residual).max()) ** 2 < 2**63:
+        sums = (residual * residual).sum(axis=1).tolist()
+    else:
+        sums = (residual.astype(object) ** 2).sum(axis=1).tolist()
+    return sum(w * s for w, s in zip(orbit_sizes[divisors].tolist(), sums))
+
+
 def residual_square_sum(n: int) -> int:
     """Integer q = sum of squares of the entries of (H_n**2 - n*I).
 
     mu(H_s**2 - I) equals sqrt(q)/n**2 with H_s the symmetric-scaled
     matrix, so q carries the entire curve exactly.
     """
-    e = build_rht_matrix(n).entries
-    ef = e.astype(np.float64)
-    square = (ef @ ef).astype(np.int64)  # exact: partial sums bounded by n
-    square[np.diag_indices(n)] -= n
-    return int((square * square).sum())
+    return _even_power_residual(n, 2)
 
 
 def exact_mu_squared(n: int) -> Fraction:
@@ -208,11 +231,12 @@ def quasi_equivalence(
 def quasi_period_check(orders, k: int, epsilon) -> QuasiPeriodReport:
     """Evaluate mu(H_s,n**k - I_n) <= epsilon for each order.
 
-    For even k the comparison is exact: the integer power of the ternary
-    matrix is formed (exact in float64 while n**k stays below 2**53), the
-    scale n**(k/2) is an integer, and mu**2 is compared to epsilon**2 as
-    rationals.  Odd k involves an irrational scale, so those checks run in
-    floating point through the generic comparator.
+    For even k the comparison is exact: the residual square sum of the
+    integer power of the ternary matrix is formed from one row per divisor
+    (exact in float64 while n**k stays below 2**53), the scale n**(k/2) is
+    an integer, and mu**2 is compared to epsilon**2 as rationals.  Odd k
+    involves an irrational scale, so those checks run in floating point
+    through the generic comparator.
     """
     orders = list(orders)
     if k < 1:
@@ -232,11 +256,7 @@ def quasi_period_check(orders, k: int, epsilon) -> QuasiPeriodReport:
     results = []
     max_mu2, max_at = Fraction(-1), 0
     for n in orders:
-        e = build_rht_matrix(n).entries.astype(np.float64)
-        power = np.linalg.matrix_power(e, k).astype(np.int64)
-        power[np.diag_indices(n)] -= n ** (k // 2)
-        q = int((power * power).sum() if n <= 1024 else (power.astype(object) ** 2).sum())
-        mu2 = Fraction(q, n ** (k + 2))
+        mu2 = Fraction(_even_power_residual(n, k), n ** (k + 2))
         results.append((n, mu2 <= eps2))
         if mu2 > max_mu2:
             max_mu2, max_at = mu2, n
@@ -295,6 +315,8 @@ def hadamard_permutation(n: int) -> Optional[ColumnPermutation]:
         raise ValueError("Hadamard order must be a power of two")
     if n > 64:
         raise ValueError("matching is bounded to n <= 64")
+    from scipy.optimize import linear_sum_assignment  # slow import, needed only here
+
     r = build_rht_matrix(n).entries
     best = None
     for ordering in _ORDERINGS:

@@ -141,7 +141,7 @@ def _cmd_norm_curve(args) -> int:
     orders = _scan_orders(args)
     points = []
     for i, n in enumerate(orders):
-        points.append((n, math.sqrt(analysis.residual_square_sum(n)) / n**2))
+        points.append((n, analysis._mu_from_q(analysis.residual_square_sum(n), n)))
         if len(orders) > 128 and i % 64 == 63:
             print(f"norm-curve: {i + 1}/{len(orders)} orders done", file=sys.stderr)
     curve = analysis.NormCurve(tuple(points))

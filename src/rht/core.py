@@ -68,8 +68,9 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
 class TernaryMatrix:
     """Integer rounding of the order-n DHT matrix.
 
-    Entries lie in {-1, 0, 1}, the matrix is symmetric, and row 0 and
-    column 0 are all ones.  Violations raise at construction.
+    Entries have an integer dtype and lie in {-1, 0, 1}, the matrix is
+    symmetric, and row 0 and column 0 are all ones.  Violations raise at
+    construction.
     """
 
     order: int
@@ -79,7 +80,9 @@ class TernaryMatrix:
         e = self.entries
         if e.shape != (self.order, self.order):
             raise ValueError("entries shape does not match order")
-        if not np.isin(e, (-1, 0, 1)).all():
+        if not np.issubdtype(e.dtype, np.integer):
+            raise ValueError("entries must have an integer dtype")
+        if e.min() < -1 or e.max() > 1:
             raise ValueError("entries outside {-1, 0, 1}")
         if not np.array_equal(e, e.T):
             raise ValueError("rounded Hartley matrix must be symmetric")
@@ -154,8 +157,9 @@ def build_rht_matrix(n: int) -> TernaryMatrix:
             f"kernel value within {TIE_GUARD} of the rounding tie at n={n}"
         )
     idx = np.arange(n, dtype=np.int64)
-    rounded = _round_half_away(table)[np.outer(idx, idx) % n].astype(np.int64)
-    return TernaryMatrix(n, rounded)
+    products = np.outer(idx, idx)
+    products %= n
+    return TernaryMatrix(n, _round_half_away(table).astype(np.int64)[products])
 
 
 def rounded_transform(n: int, normalization: Normalization) -> ScaledTransform:

@@ -1,8 +1,9 @@
 """Acceptance gate: every headline claim of the toolkit, with tolerances.
 
 The error-norm curve is evaluated in exact integer arithmetic over all
-orders 2..1024 once per run (about 15 s) and shared by the bound, peak,
-and fit tests.  The exact-inverse sweep to order 256 adds about a minute.
+orders 2..1024 once per run (6.4 s on a 2-core x86-64 host) and shared by
+the bound, peak, and fit tests.  The exact-inverse sweep to order 256 adds
+98 s there; the whole default suite takes about 125 s.
 The `slow` marker extends that sweep to 1024 (roughly two hours on one
 core; the cost grows like the fourth power of the order); it is excluded
 by default via the pytest configuration and selected with `pytest -m slow`.

@@ -36,6 +36,36 @@ def mu_squared_by_fractions(n):
     return total / n**4
 
 
+def dense_power_residual(n, k, dtype=object):
+    """q for H**k - n**(k/2) I from the full matrix power, summed in Python ints.
+
+    dtype=np.int64 is exact only while every entry of H**k fits, which
+    n**(k-1) < 2**63 guarantees; einsum keeps that integer product fast.
+    """
+    e = build_rht_matrix(n).entries.astype(dtype)
+    power = e
+    for _ in range(k - 1):
+        power = np.einsum("ij,jk->ik", power, e)
+    power[np.diag_indices(n)] -= n ** (k // 2)
+    return int((power.astype(object) ** 2).sum())
+
+
+def eps_pinning(q, n, k):
+    """Rational eps with q <= eps**2 * n**(k+2) < q + 1, for q >= 1.
+
+    quasi_period_check passes at eps_pinning(q) and fails at
+    eps_pinning(q - 1) exactly when its own residual square sum is q.
+    """
+    s = q.bit_length() // 2 + 2  # 2**s > 2*sqrt(q) + 1 keeps eps**2 below q + 1
+    root = math.isqrt(q * 4**s - 1) + 1  # ceil(sqrt(q * 4**s))
+    return Fraction(root, n ** ((k + 2) // 2) * 2**s)
+
+
+def assert_quasi_period_pins(n, k, q):
+    assert quasi_period_check([n], k, eps_pinning(q, n, k)).all_pass
+    assert not quasi_period_check([n], k, eps_pinning(q - 1, n, k)).all_pass
+
+
 class TestNNorm:
     def test_known_values(self):
         assert n_norm(np.eye(4)) == pytest.approx(0.5)
@@ -88,6 +118,14 @@ class TestExactCurve:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 17])
     def test_engine_matches_all_fraction_arithmetic(self, n):
         assert exact_mu_squared(n) == mu_squared_by_fractions(n)
+
+    def test_orbit_formula_matches_dense_square_up_to_256(self):
+        for n in range(1, 257):
+            assert residual_square_sum(n) == dense_power_residual(n, 2, np.int64), n
+
+    @pytest.mark.parametrize("n", [720, 840, 960, 1008, 1021, 1024])
+    def test_orbit_formula_matches_dense_square_at_many_divisors_and_prime(self, n):
+        assert residual_square_sum(n) == dense_power_residual(n, 2, np.int64)
 
     def test_exact_zeros(self):
         assert [n for n in range(1, 33) if residual_square_sum(n) == 0] == [1, 2, 4]
@@ -152,6 +190,29 @@ class TestQuasiPeriod:
         eps = Fraction(2, 9) - Fraction(1, 10**12)
         rep = quasi_period_check([3], 2, eps)
         assert not rep.results[0][1]
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_even_powers_match_object_dense_power(self, k):
+        for n in [3] + list(range(5, 25)):
+            assert_quasi_period_pins(n, k, dense_power_residual(n, k))
+
+    def test_sixth_power_at_440_matches_dense_power(self):
+        q = dense_power_residual(440, 6, dtype=np.int64)  # 440**5 < 2**63
+        assert q > 10**18
+        assert_quasi_period_pins(440, 6, q)
+
+    def test_odd_power_runs_the_float_comparator(self):
+        def cubed(n):
+            hs = build_rht_matrix(n).entries / math.sqrt(n)
+            return hs @ hs @ hs
+
+        orders = [3, 5, 8, 17, 30]
+        generic = quasi_equivalence(cubed, np.eye, orders, 0.5)
+        rep = quasi_period_check(orders, 3, Fraction(1, 2))
+        assert rep.k == 3
+        assert rep.results == generic.results
+        assert rep.max_mu_order == generic.max_mu_order
+        assert rep.max_mu == pytest.approx(generic.max_mu, rel=1e-12)
 
     def test_first_power_is_not_quasi_identity(self):
         rep = quasi_period_check([8], 1, Fraction(2, 9))

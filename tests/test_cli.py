@@ -19,6 +19,12 @@ def test_help_exits_clean():
     assert "subcommand" in cp.stdout or "usage" in cp.stdout
 
 
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, rht; print('scipy' in sys.modules)"
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.stdout == "False\n", cp.stderr
+
+
 def test_unknown_subcommand_is_usage_error():
     assert run_cli("frobnicate").returncode == 2
 

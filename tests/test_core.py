@@ -8,6 +8,7 @@ from rht import (
     Normalization,
     ScaledTransform,
     Spectrum,
+    TernaryMatrix,
     apply_dht,
     apply_direct,
     build_dht_matrix,
@@ -85,6 +86,19 @@ def test_matrix_is_ternary_symmetric_with_unit_borders(n):
     assert set(np.unique(e)) <= {-1, 0, 1}
     assert np.array_equal(e, e.T)
     assert (e[0] == 1).all() and (e[:, 0] == 1).all()
+
+
+@pytest.mark.parametrize("bad", [2, -2, 0.5, np.nan])
+def test_ternary_matrix_rejects_entries_outside_minus_one_zero_one(bad):
+    e = build_rht_matrix(3).entries.astype(np.result_type(bad))
+    e[1, 1] = bad  # on the diagonal, so the matrix stays symmetric
+    with pytest.raises(ValueError):
+        TernaryMatrix(3, e)
+
+
+def test_ternary_matrix_requires_integer_dtype():
+    with pytest.raises(ValueError, match="integer dtype"):
+        TernaryMatrix(3, build_rht_matrix(3).entries.astype(np.float64))
 
 
 def test_dht_matrix_symmetric_scaling_is_orthogonal():
