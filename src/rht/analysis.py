@@ -139,17 +139,19 @@ def _even_power_residual(n: int, k: int) -> int:
     hence H**k[u*i, u*j] = H**k[i, j] for even k.  The rows i with
     gcd(i, n) = d form one orbit under the units, and rows of one orbit have
     equal square sums, so q needs one row per divisor d, weighted by the
-    orbit size.  Exact while n**k < 2**53, which bounds every float64
-    partial sum.
+    orbit size.  Every partial sum of a row of H**j is bounded by
+    n**j <= n**k, so the rows are formed in float64 while n**k < 2**53, in
+    int64 while n**k < 2**63, and in Python ints beyond that.
     """
-    h = build_rht_matrix(n).entries.astype(np.float64)
+    dtype = np.float64 if n**k < 2**53 else np.int64 if n**k < 2**63 else object
+    h = build_rht_matrix(n).entries.astype(dtype)
     orbit_sizes = np.bincount(np.gcd(np.arange(n), n))
     divisors = np.flatnonzero(orbit_sizes)
     rows = divisors % n
     power = h[rows]
     for _ in range(k - 1):
         power = power @ h
-    residual = power.astype(np.int64)
+    residual = power.astype(np.int64) if dtype is np.float64 else power
     residual[np.arange(len(rows)), rows] -= n ** (k // 2)
     # each row sum fits int64 when n * max|entry|**2 does; else Python ints
     if n * int(np.abs(residual).max()) ** 2 < 2**63:
@@ -231,12 +233,12 @@ def quasi_equivalence(
 def quasi_period_check(orders, k: int, epsilon) -> QuasiPeriodReport:
     """Evaluate mu(H_s,n**k - I_n) <= epsilon for each order.
 
-    For even k the comparison is exact: the residual square sum of the
-    integer power of the ternary matrix is formed from one row per divisor
-    (exact in float64 while n**k stays below 2**53), the scale n**(k/2) is
-    an integer, and mu**2 is compared to epsilon**2 as rationals.  Odd k
-    involves an irrational scale, so those checks run in floating point
-    through the generic comparator.
+    For even k the comparison is exact at every order: the residual square
+    sum of the integer power of the ternary matrix is formed exactly from
+    one row per divisor, the scale n**(k/2) is an integer, and mu**2 is
+    compared to epsilon**2 as rationals.  Odd k involves an irrational
+    scale, so those checks run in floating point through the generic
+    comparator.
     """
     orders = list(orders)
     if k < 1:
@@ -244,7 +246,7 @@ def quasi_period_check(orders, k: int, epsilon) -> QuasiPeriodReport:
     eps = Fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    if k % 2 == 1 or any(float(n) ** k >= 2**53 for n in orders):
+    if k % 2 == 1:
 
         def scaled_power(n):
             hs = build_rht_matrix(n).entries / math.sqrt(n)

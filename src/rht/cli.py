@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, image_io
-from .core import Normalization, apply_dht, build_dht_matrix, build_rht_matrix
+from .core import Normalization, apply_dht, apply_direct, build_dht_matrix
+from .core import build_rht_matrix, rounded_transform
 from .fast import count_model, fast_rht, plan
 from .transform2d import roundtrip_report
 
@@ -115,8 +116,8 @@ def _cmd_gen_matrix(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     v = _read_signal(args.signal, args.n)
-    rht_matrix = build_rht_matrix(len(v)).entries
-    rht_coeffs = rht_matrix.astype(np.float64) @ v
+    t = rounded_transform(len(v), Normalization.UNSCALED)
+    rht_coeffs = apply_direct(t, v).coefficients
     lines = []
     if args.dht:
         dht_coeffs = apply_dht(build_dht_matrix(len(v)), v).coefficients

@@ -64,6 +64,36 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
+def _rounded_cas(n: int) -> np.ndarray:
+    """The order-n cas table rounded as build_rht_matrix describes, int64."""
+    table = _cas_table(n)
+    margin = np.abs(np.abs(table) - 0.5).min()
+    if margin < TIE_GUARD:
+        raise AssertionError(
+            f"kernel value within {TIE_GUARD} of the rounding tie at n={n}"
+        )
+    return _round_half_away(table).astype(np.int64)
+
+
+def _row_sum_plan(block: np.ndarray) -> tuple:
+    """Signed column indices (j for a +1, width + j for a -1) and row starts
+    of a ternary block, so row i of block @ x sums concatenate([x, -x]) over
+    cols[starts[i]:starts[i + 1]].  Every row needs a nonzero (reduceat
+    cannot sum an empty segment); column 0 of every block built here is 1."""
+    width = block.shape[1]
+    k = np.arange(width)
+    cols = np.where(block < 0, k + width, k)[block != 0]
+    starts = np.zeros(len(block), dtype=np.intp)
+    np.cumsum(np.count_nonzero(block, axis=1)[:-1], out=starts[1:])
+    return cols, starts
+
+
+def _row_sums(rows: tuple, x: np.ndarray) -> np.ndarray:
+    """block @ x from a _row_sum_plan, using additions and sign flips only."""
+    cols, starts = rows
+    return np.add.reduceat(np.concatenate([x, -x])[cols], starts)
+
+
 @dataclass(frozen=True)
 class TernaryMatrix:
     """Integer rounding of the order-n DHT matrix.
@@ -114,6 +144,9 @@ class ScaledTransform:
     matrix: TernaryMatrix
     normalization: Normalization
 
+    def __post_init__(self):
+        object.__setattr__(self, "_rows", _row_sum_plan(self.matrix.entries))
+
     @property
     def order(self) -> int:
         return self.matrix.order
@@ -141,6 +174,7 @@ def build_dht_matrix(
         h = h / math.sqrt(n)
     return h
 
+
 def build_rht_matrix(n: int) -> TernaryMatrix:
     """Round the order-n DHT matrix entrywise to the nearest integer.
 
@@ -150,16 +184,10 @@ def build_rht_matrix(n: int) -> TernaryMatrix:
     """
     if n < 1:
         raise ValueError("order must be positive")
-    table = _cas_table(n)
-    margin = np.abs(np.abs(table) - 0.5).min()
-    if margin < TIE_GUARD:
-        raise AssertionError(
-            f"kernel value within {TIE_GUARD} of the rounding tie at n={n}"
-        )
     idx = np.arange(n, dtype=np.int64)
     products = np.outer(idx, idx)
     products %= n
-    return TernaryMatrix(n, _round_half_away(table).astype(np.int64)[products])
+    return TernaryMatrix(n, _rounded_cas(n)[products])
 
 
 def rounded_transform(n: int, normalization: Normalization) -> ScaledTransform:
@@ -176,26 +204,16 @@ def _as_signal(v, n: int) -> np.ndarray:
     return v
 
 
-def _ternary_product(entries: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product of a ternary matrix using additions only.
-
-    Each output coefficient is a sum of +v[i] and -v[i] terms selected by
-    the matrix row; no entrywise products are formed.
-    """
-    out = np.empty(len(entries))
-    for k, row in enumerate(entries):
-        out[k] = v[row == 1].sum() - v[row == -1].sum()
-    return out
-
-
 def apply_direct(t: ScaledTransform, v) -> Spectrum:
     """Forward rounded transform of a signal.
 
-    The accumulation uses additions and subtractions over the ternary
-    entries only; in SYMMETRIC mode the result is scaled by n**-0.5 once.
+    Each coefficient is a row sum of +v[j] and -v[j] terms gathered by the
+    transform's signed column indices, so only additions are taken; the
+    result is exact for integer v while n * max|v| < 2**53.  In SYMMETRIC
+    mode it is scaled by n**-0.5 once.
     """
     v = _as_signal(v, t.order)
-    coeffs = _ternary_product(t.matrix.entries, v)
+    coeffs = _row_sums(t._rows, v)
     if t.normalization is Normalization.SYMMETRIC:
         coeffs = coeffs / math.sqrt(t.order)
     return Spectrum(coeffs, t.normalization)
@@ -233,16 +251,14 @@ def weak_inverse_apply(t: ScaledTransform, s: Spectrum) -> np.ndarray:
 def reconstruction_error(t: ScaledTransform, v) -> np.ndarray:
     """(H_s^2 - I) v, the weak-inverse round-trip error for the signal.
 
-    Computed from the exact integer square of the ternary matrix divided
-    by n, so the only floating step is the final scale and subtraction.
+    Computed as H(Hv) / n - v with the add-only ternary product.  For
+    integer v the sums are exact while n**2 * max|v| < 2**53, which bounds
+    every partial sum, so the only rounding is the final scale and subtraction.
     """
     if t.normalization is not Normalization.SYMMETRIC:
         raise ValueError("reconstruction error is defined for SYMMETRIC mode")
     v = _as_signal(v, t.order)
-    e = t.matrix.entries
-    # float matmul is exact here: all partial sums are integers below 2**53
-    square = (e.astype(np.float64) @ e.astype(np.float64)).astype(np.int64)
-    return (square @ v) / t.order - v
+    return _row_sums(t._rows, _row_sums(t._rows, v)) / t.order - v
 
 
 def fourier_estimate(s: Spectrum) -> np.ndarray:

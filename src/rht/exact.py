@@ -14,8 +14,9 @@ Python integers are exact by construction.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -42,18 +43,15 @@ class RationalMatrix:
     order: int
     numerators: np.ndarray  # object array of Python ints
     denominator: int
-    _entries: list = field(default_factory=list, repr=False, compare=False)
 
-    @property
+    @functools.cached_property
     def entries(self) -> np.ndarray:
-        if not self._entries:
-            n = self.order
-            ent = np.empty((n, n), dtype=object)
-            for i in range(n):
-                for k in range(n):
-                    ent[i, k] = Fraction(int(self.numerators[i, k]), self.denominator)
-            self._entries.append(ent)
-        return self._entries[0]
+        n = self.order
+        ent = np.empty((n, n), dtype=object)
+        for i in range(n):
+            for k in range(n):
+                ent[i, k] = Fraction(int(self.numerators[i, k]), self.denominator)
+        return ent
 
     def __getitem__(self, ik) -> Fraction:
         i, k = ik

@@ -7,9 +7,10 @@ kernel, and they survive rounding because rounding commutes with negation:
     h(2m+1, k+n/2) = -h(2m+1, k)
 
 so even outputs are the half-size transform of (low + high) and odd outputs
-are a ternary block G applied to (low - high).  G is applied sparsely, one
-copy-with-sign plus additions per row, which keeps the multiplication count
-at zero on every path.
+are the ternary block G[m, k] = h(2m+1, k), k < n/2, applied to (low - high).
+A plan holds the signed row-sum kernel of G (core._row_sum_plan) for each
+level, gathered from the rounded cas table.  The butterflies run down to
+order 1 and the kernels are applied on the way back up, with no products.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Normalization, Spectrum, build_rht_matrix
+from .core import Normalization, Spectrum, _as_signal, _rounded_cas, _row_sum_plan, _row_sums
 
 __all__ = ["OpCount", "FastPlan", "plan", "fast_rht", "count_model"]
 
@@ -29,60 +30,34 @@ class OpCount:
     multiplications: int
 
 
-class FastPlan:
-    """Precomputed recursion for one power-of-two order.
+def _odd_block(n: int) -> np.ndarray:
+    """G[m, k] = r[(2m+1)k mod n] for m, k < n/2, r the rounded cas table."""
+    idx = np.multiply.outer(np.arange(1, n, 2), np.arange(n // 2))
+    idx &= n - 1  # mod n, n a power of two
+    return _rounded_cas(n).astype(np.int8)[idx]  # int8: an 8x smaller gather
 
-    Immutable after construction and shareable; holds per-row index arrays
-    of the odd-output block (positive and negative positions) plus the
-    half-size sub-plan.
+
+class FastPlan:
+    """Precomputed even/odd decomposition for one power-of-two order.
+
+    Immutable after construction and shareable; holds the row-sum kernel
+    of the odd block G for each level, orders n, n/2, ..., 2.
     """
 
-    __slots__ = ("order", "sub", "pos_idx", "neg_idx", "_block_adds")
+    __slots__ = ("order", "_levels")
 
     def __init__(self, order: int):
         if order < 1 or order & (order - 1):
             raise ValueError(f"fast plan needs a power-of-two order, got {order}")
         self.order = order
-        if order == 1:
-            self.sub = None
-            self.pos_idx = self.neg_idx = None
-            self._block_adds = 0
-            return
-        half = order // 2
-        g = build_rht_matrix(order).entries[1::2, :half]
-        self.pos_idx = [np.nonzero(row == 1)[0] for row in g]
-        self.neg_idx = [np.nonzero(row == -1)[0] for row in g]
-        # first nonzero of a row is a signed copy, the rest are adds;
-        # rows are never empty since column 0 of G is all ones
-        self._block_adds = sum(
-            len(p) + len(q) - 1 for p, q in zip(self.pos_idx, self.neg_idx)
+        self._levels = tuple(
+            _row_sum_plan(_odd_block(order >> i)) for i in range(order.bit_length() - 1)
         )
-        self.sub = FastPlan(half)
 
 
 def plan(n: int) -> FastPlan:
     """Build the even/odd decomposition plan for order n (a power of two)."""
     return FastPlan(n)
-
-
-def _execute(p: FastPlan, v: np.ndarray, out: np.ndarray, counter: list) -> None:
-    n = p.order
-    if n == 1:
-        out[0] = v[0]
-        return
-    half = n // 2
-    low, high = v[:half], v[half:]
-    s = low + high
-    d = low - high
-    counter[0] += n  # one butterfly stage: half adds plus half subtracts
-    even = np.empty(half)
-    _execute(p.sub, s, even, counter)
-    out[0::2] = even
-    block_out = out[1::2]
-    for r in range(half):
-        pos, neg = p.pos_idx[r], p.neg_idx[r]
-        block_out[r] = d[pos].sum() - d[neg].sum()
-    counter[0] += p._block_adds
 
 
 def fast_rht(p: FastPlan, v) -> tuple[Spectrum, OpCount]:
@@ -91,14 +66,21 @@ def fast_rht(p: FastPlan, v) -> tuple[Spectrum, OpCount]:
     The spectrum equals the direct ternary product exactly (bit-exact for
     integer inputs); the count of executed additions/subtractions is
     tallied as the plan runs and multiplications are structurally zero.
+    A row of G with z nonzeros costs z - 1 additions after a signed copy.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or len(v) != p.order:
-        raise ValueError(f"input length {v.shape} does not match order {p.order}")
-    out = np.empty(p.order)
-    counter = [0]
-    _execute(p, v, out, counter)
-    return Spectrum(out, Normalization.UNSCALED), OpCount(counter[0], 0)
+    v = _as_signal(v, p.order)
+    additions = 0
+    diffs = []
+    for _ in p._levels:
+        half = len(v) // 2
+        diffs.append(v[:half] - v[half:])
+        v = v[:half] + v[half:]
+        additions += 2 * half  # one butterfly stage: half adds plus half subtracts
+    out = v.copy()  # at order 1, v may still be the caller's array
+    for rows, d in zip(reversed(p._levels), reversed(diffs)):
+        out = np.column_stack([out, _row_sums(rows, d)]).ravel()  # even, odd
+        additions += len(rows[0]) - len(rows[1])
+    return Spectrum(out, Normalization.UNSCALED), OpCount(additions, 0)
 
 
 def count_model(n: int) -> OpCount:
@@ -112,9 +94,6 @@ def count_model(n: int) -> OpCount:
         raise ValueError(f"count model needs a power-of-two order, got {n}")
     adds = 0
     while n > 1:
-        half = n // 2
-        g = build_rht_matrix(n).entries[1::2, :half]
-        row_nnz = (g != 0).sum(axis=1)
-        adds += n + int((row_nnz - 1).sum())
-        n = half
+        adds += n + int(np.count_nonzero(_odd_block(n))) - n // 2
+        n //= 2
     return OpCount(adds, 0)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import _round_half_away
 from .transform2d import GrayImage
 
 __all__ = ["RasterFormatError", "RasterFile", "probe", "load_gray", "save_pgm", "write_csv"]
@@ -185,10 +186,6 @@ def load_gray(path) -> GrayImage:
             f"image is {info.width}x{info.height}; the 2-D pipeline needs square input"
         )
     return GrayImage(pixels)
-
-
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
 def save_pgm(img, path, quantize: bool = False) -> None:

@@ -86,11 +86,17 @@ def _reversal(n: int) -> np.ndarray:
     return (-np.arange(n)) % n
 
 
+def _ternary_sandwich(x: np.ndarray) -> np.ndarray:
+    # A dense BLAS product on purpose: the add-only row-sum kernel applied to
+    # all columns at once gathers nnz(K) * n values (830 MB at n = 512) and
+    # took 0.62 s against 1.4 ms for this product at n = 256 (2-core x86).
+    k = build_rht_matrix(len(x)).entries.astype(np.float64)
+    return k @ x @ k
+
+
 def temp_matrix(a) -> CoefficientGrid:
     """T = K A K: the 1-D transform of every row, then of every column."""
-    a = _as_image(a)
-    k = build_rht_matrix(a.order).entries.astype(np.float64)
-    return CoefficientGrid(k @ a.pixels @ k)
+    return CoefficientGrid(_ternary_sandwich(_as_image(a).pixels))
 
 
 def flip_cols(t) -> CoefficientGrid:
@@ -125,9 +131,7 @@ def weak_inverse_2d(b) -> GrayImage:
     """Approximate reconstruction using K/n on both sides plus the flips."""
     b = _as_grid(b)
     n = b.order
-    k = build_rht_matrix(n).entries.astype(np.float64)
-    t = (k @ b.values @ k) / float(n * n)
-    return GrayImage(_flip_combination(t))
+    return GrayImage(_flip_combination(_ternary_sandwich(b.values) / float(n * n)))
 
 
 def exact_inverse_2d(b) -> GrayImage:

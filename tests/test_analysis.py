@@ -191,15 +191,24 @@ class TestQuasiPeriod:
         rep = quasi_period_check([3], 2, eps)
         assert not rep.results[0][1]
 
-    @pytest.mark.parametrize("k", [4, 6])
-    def test_even_powers_match_object_dense_power(self, k):
-        for n in [3] + list(range(5, 25)):
+    # 40**10 lies between 2**53 and 2**63 and 23**14 beyond 2**63, so those
+    # two run the int64 and the Python-int divisor rows.
+    @pytest.mark.parametrize(
+        "k, orders",
+        [(4, [3] + list(range(5, 25))), (6, [3] + list(range(5, 25))), (10, [40]), (14, [23])],
+        ids=["4", "6", "10", "14"],
+    )
+    def test_even_powers_match_object_dense_power(self, k, orders):
+        for n in orders:
             assert_quasi_period_pins(n, k, dense_power_residual(n, k))
 
     def test_sixth_power_at_440_matches_dense_power(self):
-        q = dense_power_residual(440, 6, dtype=np.int64)  # 440**5 < 2**63
-        assert q > 10**18
-        assert_quasi_period_pins(440, 6, q)
+        # 456 is the last order with n**6 < 2**53 (float64 divisor rows)
+        # and 457 the first past it (int64 divisor rows)
+        for n in (440, 456, 457):
+            q = dense_power_residual(n, 6, dtype=np.int64)  # n**5 < 2**63
+            assert q > 10**18
+            assert_quasi_period_pins(n, 6, q)
 
     def test_odd_power_runs_the_float_comparator(self):
         def cubed(n):

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rht import (
     Normalization,
@@ -182,6 +185,26 @@ def test_reconstruction_error_on_second_basis_vector_order_three():
     col = (e @ e)[:, 1]
     exact = [Fraction(int(c), 3) - int(k == 1) for k, c in enumerate(col)]
     assert exact == [Fraction(0), Fraction(-1, 3), Fraction(1, 3)]
+
+
+@settings(deadline=None, max_examples=25)
+@given(data=st.data(), n=st.integers(1, 300))
+def test_apply_direct_equals_dense_integer_product(data, n):
+    v = data.draw(arrays(np.int64, n, elements=st.integers(-(2**31), 2**31)))
+    t = rounded_transform(n, Normalization.UNSCALED)
+    dense = (t.matrix.entries @ v).astype(np.float64)
+    assert np.array_equal(apply_direct(t, v).coefficients, dense)
+
+
+@settings(deadline=None, max_examples=25)
+@given(data=st.data(), n=st.integers(1, 300))
+def test_reconstruction_error_equals_integer_square(data, n):
+    # n**2 * 2**36 < 2**53 keeps every partial sum exact on both sides
+    v = data.draw(arrays(np.int64, n, elements=st.integers(-(2**36), 2**36)))
+    t = rounded_transform(n, Normalization.SYMMETRIC)
+    e = t.matrix.entries
+    expected = ((e @ e) @ v).astype(np.float64) / n - v
+    assert np.array_equal(reconstruction_error(t, v), expected)
 
 
 def test_reconstruction_error_zero_at_involution_orders():

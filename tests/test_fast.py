@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from rht import build_rht_matrix, count_model, fast_rht, plan
+from rht import (
+    Normalization,
+    apply_direct,
+    build_rht_matrix,
+    count_model,
+    fast_rht,
+    plan,
+    rounded_transform,
+)
 
 # additions(n) = n + additions(n/2) + sum over odd-block rows of (nonzeros-1)
 KNOWN_ADDITIONS = {
@@ -15,6 +26,9 @@ KNOWN_ADDITIONS = {
     128: 4344,
     256: 17144,
     512: 67832,
+    1024: 270584,
+    2048: 1079544,
+    4096: 4311288,
 }
 
 
@@ -22,13 +36,15 @@ KNOWN_ADDITIONS = {
 def test_predicted_addition_counts(n, adds):
     ops = count_model(n)
     assert ops.additions == adds
+    assert type(ops.additions) is int  # plain int, so counts serialise to JSON
     assert ops.multiplications == 0
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64, 128, 256])
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096])
 def test_measured_counts_match_model(n):
     _, ops = fast_rht(plan(n), np.zeros(n))
     assert ops == count_model(n)
+    assert type(ops.additions) is int
 
 
 def test_addition_count_beats_dense_from_order_four():
@@ -45,6 +61,19 @@ def test_fast_output_equals_dense_product(n):
         spec, ops = fast_rht(plan(n), v)
         assert np.array_equal(spec.coefficients, (dense @ v).astype(np.float64))
         assert ops.multiplications == 0
+
+
+@pytest.mark.parametrize("n", [1 << k for k in range(11)])
+@settings(deadline=None, max_examples=8)
+@given(data=st.data())
+def test_fast_direct_and_dense_products_agree(n, data):
+    v = data.draw(arrays(np.int64, n, elements=st.integers(-(2**31), 2**31)))
+    dense = (build_rht_matrix(n).entries @ v).astype(np.float64)
+    fast, ops = fast_rht(plan(n), v)
+    direct = apply_direct(rounded_transform(n, Normalization.UNSCALED), v)
+    assert np.array_equal(fast.coefficients, dense)
+    assert np.array_equal(direct.coefficients, dense)
+    assert ops.multiplications == 0
 
 
 def test_fast_handles_real_valued_input():
