@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import build_rht_matrix
+from .core import _rounded_cas, build_rht_matrix
 from .transform2d import GrayImage
 
 __all__ = [
@@ -141,16 +141,21 @@ def _even_power_residual(n: int, k: int) -> int:
     equal square sums, so q needs one row per divisor d, weighted by the
     orbit size.  Every partial sum of a row of H**j is bounded by
     n**j <= n**k, so the rows are formed in float64 while n**k < 2**53, in
-    int64 while n**k < 2**63, and in Python ints beyond that.
+    int64 while n**k < 2**63, and in Python ints beyond that.  H is gathered
+    64 columns at a time from the rounded cas table, so no n x n array is held.
     """
+    if n < 1:
+        raise ValueError("order must be positive")
     dtype = np.float64 if n**k < 2**53 else np.int64 if n**k < 2**63 else object
-    h = build_rht_matrix(n).entries.astype(dtype)
+    r = _rounded_cas(n).astype(dtype)
     orbit_sizes = np.bincount(np.gcd(np.arange(n), n))
     divisors = np.flatnonzero(orbit_sizes)
     rows = divisors % n
-    power = h[rows]
+    m = np.arange(n)
+    power = r[np.multiply.outer(rows, m) % n]
     for _ in range(k - 1):
-        power = power @ h
+        blocks = (r[np.multiply.outer(m, m[j : j + 64]) % n] for j in range(0, n, 64))
+        power = np.hstack([power @ h for h in blocks])
     residual = power.astype(np.int64) if dtype is np.float64 else power
     residual[np.arange(len(rows)), rows] -= n ** (k // 2)
     # each row sum fits int64 when n * max|entry|**2 does; else Python ints
@@ -262,9 +267,7 @@ def quasi_period_check(orders, k: int, epsilon) -> QuasiPeriodReport:
         results.append((n, mu2 <= eps2))
         if mu2 > max_mu2:
             max_mu2, max_at = mu2, n
-    return QuasiPeriodReport(
-        k, float(eps), tuple(results), math.sqrt(max_mu2), max_at
-    )
+    return QuasiPeriodReport(k, float(eps), tuple(results), math.sqrt(max_mu2), max_at)
 
 
 def _bit_reversed(n: int) -> np.ndarray:

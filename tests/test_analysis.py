@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -126,6 +127,16 @@ class TestExactCurve:
     @pytest.mark.parametrize("n", [720, 840, 960, 1008, 1021, 1024])
     def test_orbit_formula_matches_dense_square_at_many_divisors_and_prime(self, n):
         assert residual_square_sum(n) == dense_power_residual(n, 2, np.int64)
+
+    def test_divisor_rows_hold_no_square_matrix(self):
+        # the 1024 x 1024 rounded matrix alone is 8 MiB in int64
+        tracemalloc.start()
+        try:
+            residual_square_sum(1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**21
 
     def test_exact_zeros(self):
         assert [n for n in range(1, 33) if residual_square_sum(n) == 0] == [1, 2, 4]
