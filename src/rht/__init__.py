@@ -7,115 +7,22 @@ radix-2 evaluation, exact rational inverses, the error-norm analysis
 apparatus, the 2-D image pipeline, and raster/CSV I/O.
 """
 
-from .analysis import (
-    ColumnPermutation,
-    FreundlichFit,
-    NormCurve,
-    QuasiPeriodReport,
-    exact_mu_squared,
-    freundlich_fit,
-    hadamard_permutation,
-    intensity_diagram,
-    matrix_period,
-    n_norm,
-    norm_curve,
-    norm_curve_at,
-    quasi_equivalence,
-    quasi_period_check,
-    residual_square_sum,
-    walsh_matrix,
-)
-from .core import (
-    Normalization,
-    ScaledTransform,
-    Spectrum,
-    TernaryMatrix,
-    apply_dht,
-    apply_direct,
-    build_dht_matrix,
-    build_rht_matrix,
-    cas,
-    fourier_estimate,
-    reconstruction_error,
-    rounded_transform,
-    weak_inverse_apply,
-)
-from .exact import NotInvertible, RationalMatrix, exact_inverse, invert_integer_matrix
-from .fast import FastPlan, OpCount, count_model, fast_rht, plan
-from .image_io import RasterFile, RasterFormatError, load_gray, probe, save_pgm, write_csv
-from .transform2d import (
-    CoefficientGrid,
-    GrayImage,
-    RoundTrip,
-    exact_inverse_2d,
-    flip_both,
-    flip_cols,
-    flip_rows,
-    forward_2d,
-    psnr,
-    roundtrip_report,
-    temp_matrix,
-    weak_inverse_2d,
-)
+from . import analysis, core, exact, fast, image_io, transform2d
+from .analysis import *
+from .core import *
+from .exact import *
+from .fast import *
+from .image_io import *
+from .transform2d import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Normalization",
-    "Spectrum",
-    "TernaryMatrix",
-    "ScaledTransform",
-    "cas",
-    "build_dht_matrix",
-    "build_rht_matrix",
-    "rounded_transform",
-    "apply_direct",
-    "apply_dht",
-    "weak_inverse_apply",
-    "reconstruction_error",
-    "fourier_estimate",
-    "NotInvertible",
-    "RationalMatrix",
-    "exact_inverse",
-    "invert_integer_matrix",
-    "FastPlan",
-    "OpCount",
-    "plan",
-    "fast_rht",
-    "count_model",
-    "NormCurve",
-    "FreundlichFit",
-    "ColumnPermutation",
-    "QuasiPeriodReport",
-    "n_norm",
-    "matrix_period",
-    "residual_square_sum",
-    "exact_mu_squared",
-    "norm_curve",
-    "norm_curve_at",
-    "freundlich_fit",
-    "quasi_equivalence",
-    "quasi_period_check",
-    "walsh_matrix",
-    "hadamard_permutation",
-    "intensity_diagram",
-    "GrayImage",
-    "CoefficientGrid",
-    "RoundTrip",
-    "temp_matrix",
-    "flip_cols",
-    "flip_rows",
-    "flip_both",
-    "forward_2d",
-    "weak_inverse_2d",
-    "exact_inverse_2d",
-    "psnr",
-    "roundtrip_report",
-    "RasterFormatError",
-    "RasterFile",
-    "probe",
-    "load_gray",
-    "save_pgm",
-    "write_csv",
+    *core.__all__,
+    *exact.__all__,
+    *fast.__all__,
+    *analysis.__all__,
+    *transform2d.__all__,
+    *image_io.__all__,
     "__version__",
 ]

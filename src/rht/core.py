@@ -114,7 +114,10 @@ class TernaryMatrix:
             raise ValueError("entries must have an integer dtype")
         if e.min() < -1 or e.max() > 1:
             raise ValueError("entries outside {-1, 0, 1}")
-        if not np.array_equal(e, e.T):
+        # compared as int8 (the range check above makes that exact): the
+        # transposed read of a wider dtype is slow at power-of-two strides
+        small = e.astype(np.int8)
+        if not np.array_equal(small, small.T):
             raise ValueError("rounded Hartley matrix must be symmetric")
         if not (e[0] == 1).all() or not (e[:, 0] == 1).all():
             raise ValueError("first row and column must be all ones")

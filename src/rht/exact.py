@@ -7,9 +7,10 @@ rationals by lattice reduction of each entry, and the candidate is then
 proven correct by a deterministic residue check before it is returned.
 
 All heavy steps run as int64/float64 numpy kernels whose intermediate
-values are kept below 2**53, so every machine product is exact; arbitrary
-precision enters only in the per-entry assembly and reconstruction, where
-Python integers are exact by construction.
+values are kept below 2**53, so every machine product is exact.  Python
+integers, exact by construction, carry the digit assembly and the per-entry
+reconstruction; verification reduces them modulo each prime before its
+float64 product.
 """
 
 from __future__ import annotations
@@ -77,27 +78,23 @@ def _primes_below(limit, skip=()):
 
 
 def _gj_inverse_mod(m: np.ndarray, p: int):
-    """Gauss-Jordan inverse of m mod p.
+    """Gauss-Jordan inverse of m mod p, or None when m is singular mod p.
 
-    Returns (inverse, det_mod_p); inverse is None when m is singular mod p.
     Reduction is deferred: entries grow by at most p**2 per pivot and are
     folded back every 512 pivots, staying far below int64 overflow.
     """
     n = m.shape[0]
     a = np.concatenate([np.mod(m, p), np.eye(n, dtype=np.int64)], axis=1)
-    det = 1
     for c in range(n):
         col = np.mod(a[c:, c], p)
         nz = np.nonzero(col)[0]
         if nz.size == 0:
-            return None, 0
+            return None
         r = c + nz[0]
         if r != c:
             a[[c, r]] = a[[r, c]]
-            det = -det
         pivrow = np.mod(a[c], p)
         pv = int(pivrow[c])
-        det = det * pv % p
         pivrow = pivrow * pow(pv, -1, p) % p
         a[c] = pivrow
         f = np.mod(a[:, c], p)
@@ -105,7 +102,7 @@ def _gj_inverse_mod(m: np.ndarray, p: int):
         a -= np.outer(f, pivrow)
         if (c & 511) == 511:
             np.mod(a, p, out=a)
-    return np.mod(a[:, n:], p), det % p
+    return np.mod(a[:, n:], p)
 
 
 def _rational_reconstruct(x: int, m: int, bound: int):
@@ -132,10 +129,11 @@ def _reconstruct_matrix(acc: np.ndarray, n: int, modulus: int):
     """Rational matrix from its image mod ``modulus``, or None if the
     lifted precision is still insufficient.
 
-    A prepass over a spread sample of entries accumulates the common
-    denominator; the main pass then clears each entry by one modular
-    multiplication, falling back to per-entry reconstruction for the few
-    denominators the sample missed.  Acceptance demands _SLACK_BITS of
+    One pass clears each entry by one modular multiplication with the
+    running common denominator.  An entry that does not clear is
+    reconstructed on its own and widens the denominator to the lcm; the
+    entries before each widening are rescaled to the final denominator at
+    the end, one slice per widening.  Acceptance demands _SLACK_BITS of
     headroom below the modulus, so a wrapped (garbage) numerator slips
     through with probability about 2**-_SLACK_BITS and is caught by the
     residue verification anyway.
@@ -143,95 +141,50 @@ def _reconstruct_matrix(acc: np.ndarray, n: int, modulus: int):
     bound = math.isqrt((modulus - 1) // 2)
     half = modulus // 2
     cap = half >> _SLACK_BITS
-    den = 1
-    sample = [(i, k) for i in (1, 2, 3) if i < n for k in range(n)]
-    sample += [(i, i) for i in range(n)]
-    sample += [(i, n - 1 - i) for i in range(n)]
-    for i, k in sample:
-        x = int(acc[i, k])
+    nums, den, widened = [], 1, []  # widened: (flat index, denominator before)
+    for x in acc.ravel().tolist():
         r = x * den % modulus
         if r > half:
             r -= modulus
-        if abs(r) <= cap:
-            continue
-        rec = _rational_reconstruct(x, modulus, bound)
-        if rec is None:
-            return None
-        de = rec[1]
-        den *= de // math.gcd(de, den)
-    nums = np.empty((n, n), dtype=object)
-    stray = {}
-    for i in range(n):
-        for k in range(n):
-            x = int(acc[i, k])
-            r = x * den % modulus
-            if r > half:
-                r -= modulus
-            if abs(r) <= cap:
-                nums[i, k] = r
-                continue
+        if abs(r) > cap:
             rec = _rational_reconstruct(x, modulus, bound)
             if rec is None:
                 return None
-            nums[i, k] = rec[0]
-            stray[(i, k)] = rec[1]
-    if stray:
-        full = den
-        for de in stray.values():
-            full *= de // math.gcd(de, full)
-        scale = full // den
-        for i in range(n):
-            for k in range(n):
-                de = stray.get((i, k))
-                nums[i, k] = int(nums[i, k]) * (full // de if de else scale)
-        den = full
-    return nums, den
+            num, de = rec
+            wider = den * (de // math.gcd(de, den))
+            if wider != den:
+                widened.append((len(nums), den))
+                den = wider
+            r = num * (den // de)
+        nums.append(r)
+    nums = np.array(nums, dtype=object)
+    start = 0
+    for stop, before in widened:
+        nums[start:stop] *= den // before
+        start = stop
+    return nums.reshape(n, n), den
 
 
 def _verify_product(m: np.ndarray, nums: np.ndarray, den: int, skip: int) -> bool:
     """Prove m @ nums == den * I over the integers.
 
-    The identity is checked modulo fresh primes whose product exceeds twice
-    the largest possible entry of the difference, which forces every entry
-    of the difference to be exactly zero.  Deterministic, no lifting state
-    is trusted.
+    The identity is checked modulo fresh primes until their product exceeds
+    twice the largest possible entry of the difference, which forces every
+    entry of the difference to be exactly zero.  Deterministic, no lifting
+    state is trusted.
     """
     n = m.shape[0]
-    max_num = max(abs(int(v)) for v in nums.flat)
-    max_m = int(np.abs(m).max()) if n else 1
-    residue_bound = 2 * (n * max_m * max_num + den)
-    primes, prod = [], 1
+    residue_bound = 2 * (n * int(np.abs(m).max()) * int(np.abs(nums).max()) + den)
+    mf = m.astype(np.float64)
+    ident = np.eye(n)
+    prod = 1
     for q in _primes_below(_PRIME_CEILING, skip={skip}):
-        primes.append(q)
+        aq = (nums % q).astype(np.float64)
+        if not np.array_equal(np.mod(mf @ aq, q), ident * (den % q)):
+            return False
         prod *= q
         if prod > residue_bound:
-            break
-    mf = m.astype(np.float64)
-    if max_num < 1 << 62:
-        nums64 = nums.astype(np.int64)
-        layers = [(nums64, 1)]
-    else:
-        neg = np.empty((n, n), dtype=bool)
-        for i in range(n):
-            for k in range(n):
-                neg[i, k] = int(nums[i, k]) < 0
-        sign = np.where(neg, -1, 1).astype(np.int64)
-        mag = np.where(neg, -nums, nums)
-        n_limbs = (max_num.bit_length() + 59) // 60
-        mask = (1 << 60) - 1
-        layers = [
-            ((((mag >> (60 * l)) & mask).astype(np.int64) * sign), 1 << (60 * l))
-            for l in range(n_limbs)
-        ]
-    ident = np.eye(n)
-    for q in primes:
-        aq = np.zeros((n, n), dtype=np.int64)
-        for limb, weight in layers:
-            aq = (aq + np.mod(limb, q) * (weight % q)) % q
-        prodq = np.mod(mf @ aq.astype(np.float64), q)
-        if not np.array_equal(prodq, np.mod(ident * (den % q), q)):
-            return False
-    return True
+            return True
 
 
 def invert_integer_matrix(m) -> RationalMatrix:
@@ -260,7 +213,7 @@ def invert_integer_matrix(m) -> RationalMatrix:
     r0 = None
     log_tried = 0.0
     for p in _primes_below(_PRIME_CEILING):
-        r0, _det = _gj_inverse_mod(m, p)
+        r0 = _gj_inverse_mod(m, p)
         if r0 is not None:
             break
         # det = 0 mod p; enough such primes certify det = 0 over the integers

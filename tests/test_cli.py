@@ -25,6 +25,26 @@ def test_import_leaves_scipy_unloaded():
     assert cp.stdout == "False\n", cp.stderr
 
 
+def test_public_names_are_unchanged():
+    assert sorted(rht.__all__) == [
+        "CoefficientGrid", "ColumnPermutation", "FastPlan", "FreundlichFit",
+        "GrayImage", "NormCurve", "Normalization", "NotInvertible", "OpCount",
+        "QuasiPeriodReport", "RasterFile", "RasterFormatError", "RationalMatrix",
+        "RoundTrip", "ScaledTransform", "Spectrum", "TernaryMatrix", "__version__",
+        "apply_dht", "apply_direct", "build_dht_matrix", "build_rht_matrix", "cas",
+        "count_model", "exact_inverse", "exact_inverse_2d", "exact_mu_squared",
+        "fast_rht", "flip_both", "flip_cols", "flip_rows", "forward_2d",
+        "fourier_estimate", "freundlich_fit", "hadamard_permutation",
+        "intensity_diagram", "invert_integer_matrix", "load_gray", "matrix_period",
+        "n_norm", "norm_curve", "norm_curve_at", "plan", "probe", "psnr",
+        "quasi_equivalence", "quasi_period_check", "reconstruction_error",
+        "residual_square_sum", "rounded_transform", "roundtrip_report", "save_pgm",
+        "temp_matrix", "walsh_matrix", "weak_inverse_2d", "weak_inverse_apply",
+        "write_csv",
+    ]
+    assert all(hasattr(rht, name) for name in rht.__all__)
+
+
 def test_unknown_subcommand_is_usage_error():
     assert run_cli("frobnicate").returncode == 2
 

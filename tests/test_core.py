@@ -104,6 +104,14 @@ def test_ternary_matrix_requires_integer_dtype():
         TernaryMatrix(3, build_rht_matrix(3).entries.astype(np.float64))
 
 
+@pytest.mark.parametrize("n", [64, 1024])
+def test_ternary_matrix_rejects_asymmetry_at_power_of_two_order(n):
+    e = np.array(build_rht_matrix(n).entries)
+    e[1, 2] = 1 - abs(e[2, 1])  # differs from e[2, 1]; row 0 and column 0 stay ones
+    with pytest.raises(ValueError, match="symmetric"):
+        TernaryMatrix(n, e)
+
+
 def test_dht_matrix_symmetric_scaling_is_orthogonal():
     for n in (2, 3, 8, 17, 32):
         hs = build_dht_matrix(n, Normalization.SYMMETRIC)

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rht import NotInvertible, RationalMatrix, build_rht_matrix, exact_inverse, invert_integer_matrix
 from oracles import fraction_inverse
@@ -78,6 +81,32 @@ def test_random_integer_matrices_against_oracle():
         want = reduced(want_nums, want_den)
         assert got[1] == want[1] and np.array_equal(got[0], want[0])
         done += 1
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), n=st.integers(1, 7))
+def test_small_integer_matrices_match_oracle_or_are_singular(data, n):
+    m = data.draw(arrays(np.int64, (n, n), elements=st.integers(-9, 9)))
+    if n > 1 and data.draw(st.booleans()):
+        src, dst = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        m[dst] = m[src]  # a repeated row makes the matrix singular
+    try:
+        want = reduced(*fraction_inverse(m))
+    except ZeroDivisionError:
+        with pytest.raises(NotInvertible):
+            invert_integer_matrix(m)
+        return
+    inv = invert_integer_matrix(m)
+    got = reduced(inv.numerators, inv.denominator)
+    assert got[1] == want[1] and np.array_equal(got[0], want[0])
+
+
+def test_denominator_first_seen_at_the_last_entry_rescales_the_earlier_ones():
+    m = np.eye(6, dtype=np.int64)
+    m[5, 5] = 7
+    inv = invert_integer_matrix(m)
+    assert inv.denominator == 7
+    assert inv.numerators.tolist() == np.diag([7, 7, 7, 7, 7, 1]).tolist()
 
 
 def test_large_numerators_hit_multi_limb_verification():

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rht import (
     GrayImage,
@@ -201,6 +203,71 @@ class TestBmpErrors:
             p.write_bytes(blob)
             with pytest.raises(RasterFormatError):
                 load_gray(p)
+
+
+def mostly(common, rare):
+    """common three times in four, else rare."""
+    return st.integers(0, 3).flatmap(lambda i: rare if i == 0 else common)
+
+
+@st.composite
+def raster_bytes(draw):
+    """Raw bytes; a PGM magic, random header fields and random payload
+    bytes; or a BMP header with random fields and palette, then random bytes
+    or zero pixels of the declared size, cut short half the time."""
+    kind = draw(st.sampled_from(["raw", "pgm", "bmp"]))
+    tail = draw(st.binary(max_size=80))
+    if kind == "raw":
+        return tail
+    if kind == "pgm":
+        junk = st.sampled_from([b"x", b"1e3", b"-", b""])
+
+        def number(lo, hi):
+            return mostly(st.integers(lo, hi).map(lambda v: str(v).encode()), junk)
+
+        fields = [draw(number(-1, 5)), draw(number(-1, 5)), draw(number(0, 300))]
+        fields += draw(st.lists(number(0, 300), max_size=30))
+        if draw(st.booleans()):
+            fields = fields[: draw(st.integers(0, len(fields)))]
+        sep = draw(st.sampled_from([b" ", b"\n", b" #c\n"]))
+        return draw(st.sampled_from([b"P2", b"P5"])) + sep + sep.join(fields) + sep + tail
+    u32 = st.integers(0, 2**32 - 1)
+    i32 = st.integers(-(2**31), 2**31 - 1)
+    if draw(st.booleans()):
+        levels = draw(st.lists(st.integers(0, 255), max_size=300))
+        palette = b"".join(bytes([v, v, v, 0]) for v in levels)
+    else:
+        palette = draw(st.binary(max_size=1200))
+    width = draw(mostly(st.integers(1, 6), i32))
+    height = draw(mostly(st.integers(-6, 6), i32))
+    colors = draw(mostly(st.sampled_from([0, len(palette) // 4]), u32))
+    head = b"BM" + struct.pack("<IHHI", draw(u32), 0, 0, draw(mostly(st.just(54 + len(palette)), u32)))
+    info = struct.pack(
+        "<IiiHHIIiiII",
+        draw(mostly(st.just(40), st.sampled_from([12, 108]))),
+        width,
+        height,
+        draw(mostly(st.just(1), st.sampled_from([0, 3]))),
+        draw(mostly(st.just(8), st.sampled_from([1, 24]))),
+        draw(mostly(st.just(0), st.sampled_from([1, 3]))),
+        draw(u32), 0, 0, colors, 0,
+    )
+    fits = 0 < width <= 6 and abs(height) <= 6
+    pixels = draw(mostly(st.just(bytes(((width + 3) & ~3) * abs(height) if fits else 0)), st.just(tail)))
+    blob = head + info + palette + pixels
+    return blob[: draw(st.integers(0, len(blob)))] if draw(st.booleans()) else blob
+
+
+@settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=raster_bytes())
+def test_any_bytes_parse_or_raise_raster_format_error(tmp_path, blob):
+    p = tmp_path / "fuzz.img"
+    p.write_bytes(blob)
+    for read in (probe, load_gray):
+        try:
+            read(p)
+        except RasterFormatError:
+            pass
 
 
 class TestSavePgm:
