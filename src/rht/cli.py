@@ -24,6 +24,7 @@ from .fast import count_model, fast_rht, plan
 from .transform2d import roundtrip_report
 
 USAGE_ERROR, PARSE_ERROR, CHECK_FAILED = 2, 3, 4
+_DENSE_BYTES = 1 << 30  # largest n x n array of 8-byte entries a command may build
 
 
 class _ParseFailure(Exception):
@@ -38,6 +39,18 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
+
+
+def _dense_order(text: str) -> int:
+    """An order whose dense n x n matrix fits the memory budget."""
+    value = _positive_int(text)
+    if 8 * value * value > _DENSE_BYTES:
+        limit = math.isqrt(_DENSE_BYTES // 8)
+        raise argparse.ArgumentTypeError(
+            f"order {value} needs {8 * value * value} bytes per dense n x n array, "
+            f"over the {_DENSE_BYTES}-byte budget (largest order {limit})"
+        )
     return value
 
 
@@ -300,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output here instead of stdout")
 
     p = sub.add_parser("gen-matrix", help="print the ternary (or DHT) matrix")
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=_dense_order, required=True)
     p.add_argument("--scaled", action="store_true", help="apply the 1/sqrt(n) scale")
     p.add_argument("--dht", action="store_true", help="the unrounded cas matrix")
     p.add_argument("--pretty", action="store_true", help="blank/-/1 glyph rendering")
@@ -340,12 +353,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_quasi_period)
 
     p = sub.add_parser("hadamard", help="match columns onto a Hadamard matrix")
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=_dense_order, required=True)
     add_out(p)
     p.set_defaults(run=_cmd_hadamard)
 
     p = sub.add_parser("pattern", help="intensity diagram of the matrix as PGM")
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=_dense_order, required=True)
     p.add_argument("--squared", action="store_true", help="render H_s^2 by magnitude")
     p.add_argument("--omit-diagonal", action="store_true")
     p.add_argument("--out", required=True)
@@ -358,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_image2d)
 
     p = sub.add_parser("fast-bench", help="fast transform op counts + oracle check")
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=_dense_order, required=True)
     p.add_argument("--trials", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=20260814)
     p.set_defaults(run=_cmd_fast_bench)

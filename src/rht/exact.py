@@ -2,15 +2,18 @@
 
 The inverse of the rounded transform matrix is computed in exact arithmetic
 by p-adic lifting: a single modular inverse seeds a digit-by-digit expansion
-of the solution of M X = I, the digits are assembled and converted to
-rationals by lattice reduction of each entry, and the candidate is then
-proven correct by a deterministic residue check before it is returned.
+of the solution of M X = I, the digits are cleared by a common denominator
+and converted to rationals (lattice reduction only where an entry needs it),
+and the candidate is then proven correct by a deterministic residue check
+before it is returned.
 
-All heavy steps run as int64/float64 numpy kernels whose intermediate
-values are kept below 2**53, so every machine product is exact.  Python
-integers, exact by construction, carry the digit assembly and the per-entry
-reconstruction; verification reduces them modulo each prime before its
-float64 product.
+The lifted base-p digits are kept as one int32 row of n*n entries per
+digit.  Every per-entry stage (clearing, conversion to Python ints,
+reduction modulo the verification primes) is a float64 product over blocks
+of at most _BLOCK entries, and each checks that its sums stay below 2**53,
+so every machine product is exact.  Python integers are built once per
+entry, from bytes; only the entries that fix the denominator, and the rare
+ones the digit test cannot decide, go through Python-int arithmetic.
 """
 
 from __future__ import annotations
@@ -24,8 +27,22 @@ import numpy as np
 
 __all__ = ["NotInvertible", "RationalMatrix", "exact_inverse", "invert_integer_matrix"]
 
-_PRIME_CEILING = 1 << 20  # keeps n * p**2 < 2**53 for every feasible order
+_PRIME_CEILING = 1 << 20  # every prime used is below this
 _SLACK_BITS = 24  # headroom demanded before trusting a fast-path numerator
+# Entries per kernel call.  Blocks of this size, and one array per digit
+# rather than one (digits, n*n) array, keep every temporary under about
+# 1 MB below order 256.  Freeing a multi-MB array raises glibc's mmap
+# threshold, after which freed temporaries stay resident; with 4096-entry
+# blocks or one digit array, a sweep over orders 156..200 peaked 2-13 MB
+# higher than with this layout.
+_BLOCK = 1024
+_LIMB = 1 << 16  # Python ints cross into numpy as base-2**16 limbs
+
+
+def _check_exact(bound: int, what: str) -> None:
+    """Raise ValueError unless integer sums up to ``bound`` are exact in float64."""
+    if bound >= 1 << 53:
+        raise ValueError(f"{what} would reach 2**53, past exact float64")
 
 
 class NotInvertible(Exception):
@@ -125,31 +142,130 @@ def _rational_reconstruct(x: int, m: int, bound: int):
     return num, den
 
 
-def _reconstruct_matrix(acc: np.ndarray, n: int, modulus: int):
-    """Rational matrix from its image mod ``modulus``, or None if the
-    lifted precision is still insufficient.
+def _limb_table(p: int, d: int):
+    """Base-2**16 limbs of p**i (float64, column i < d) and of p**d.
 
-    One pass clears each entry by one modular multiplication with the
-    running common denominator.  An entry that does not clear is
-    reconstructed on its own and widens the denominator to the lcm; the
-    entries before each widening are rescaled to the final denominator at
-    the end, one slice per widening.  Acceptance demands _SLACK_BITS of
-    headroom below the modulus, so a wrapped (garbage) numerator slips
-    through with probability about 2**-_SLACK_BITS and is caught by the
-    residue verification anyway.
+    The limb count leaves room for a sign bit, so the table turns d base-p
+    digits into two's-complement limbs of values in [-p**d, p**d).
     """
+    _check_exact(d * (p - 1) * (_LIMB - 1) + _LIMB, "base-p to base-2**16 limb sum")
+    top = p**d
+    width = top.bit_length() // 16 + 1
+    powers = np.empty((width, d))
+    v = 1
+    for i in range(d):
+        powers[:, i] = np.frombuffer(v.to_bytes(2 * width, "little"), dtype="<u2")
+        v *= p
+    return powers, np.frombuffer(top.to_bytes(2 * width, "little"), dtype="<u2")
+
+
+def _digits_to_ints(block: np.ndarray, table, negative=None) -> list:
+    """sum_i block[i] * p**i for each column of a (d, B) digit block, less
+    p**d where ``negative`` is set, as Python ints.
+
+    One product with the limbs of p**i and one carry pass give each entry's
+    two's-complement limbs; int.from_bytes then builds each int once.
+    """
+    powers, top = table
+    sums = powers @ block
+    if negative is not None:
+        sums -= np.outer(top, negative)
+    sums = sums.astype(np.int64)
+    carry = 0
+    for limb in sums:
+        limb += carry
+        carry = limb >> 16
+        limb &= _LIMB - 1
+    raw = sums.T.astype("<u2").tobytes()
+    step = 2 * len(powers)
+    return [
+        int.from_bytes(raw[i : i + step], "little", signed=True)
+        for i in range(0, len(raw), step)
+    ]
+
+
+def _den_toeplitz(den: int, p: int, d: int) -> np.ndarray:
+    """Lower-triangular Toeplitz matrix of the base-p digits of den mod p**d.
+
+    Its product with a (d, B) digit block convolves den with every column,
+    giving den * x mod p**d before carries; each sum is at most
+    d * (p - 1)**2.
+    """
+    _check_exact(d * (p - 1) ** 2, "base-p Toeplitz sum")
+    dd = np.empty(d)
+    for i in range(d):
+        den, dd[i] = divmod(den, p)
+    lag = np.subtract.outer(np.arange(d), np.arange(d))
+    return np.where(lag >= 0, dd[np.maximum(lag, 0)], 0.0)
+
+
+def _clear(toeplitz: np.ndarray, block: np.ndarray, p: int, table):
+    """Clear each column x of a (d, B) base-p digit block by den.
+
+    Returns the base-p digits of r = den * x mod p**d (den is the one behind
+    ``toeplitz``), the mask of the entries _reconstruct_matrix accepts,
+    r <= cap or r >= p**d - cap, and the mask of those read as r - p**d.
+    The top two digits decide all but the entries in the band around
+    +-cap, whose r is then formed as a Python int.
+    """
+    d = len(block)
+    modulus = p**d
+    cap = (modulus // 2) >> _SLACK_BITS
+    unit = p ** (d - 2)  # weight of the second-highest digit
+    lo, hi = cap // unit, (modulus - cap) // unit  # top values straddling +-cap
+    low = (toeplitz @ block).astype(np.int64)
+    carry = 0
+    for row in low:
+        row += carry
+        carry = row // p
+        row -= carry * p
+    top = low[-1] * p + low[-2]
+    negative = top > hi
+    ok = negative | (top < lo)
+    band = np.flatnonzero((top == lo) | (top == hi))
+    for j, r in zip(band, _digits_to_ints(low[:, band], table)):
+        negative[j] = r >= modulus - cap
+        ok[j] = negative[j] or r <= cap
+    return low, ok, negative
+
+
+def _reconstruct_matrix(digits: list, n: int, p: int):
+    """Rational matrix from its lifted base-p digits (one flat int32 array
+    per digit), or None if the lifted precision is still insufficient.
+
+    Entries are walked in order and each is cleared by the running common
+    denominator den: den * x mod p**d, lifted symmetrically, is accepted as
+    the numerator when at most cap.  The first row, which fixes the
+    denominator, goes through Python ints; later entries are cleared in
+    digit space a block at a time, and their top two digits decide the
+    test, leaving Python ints to the entries in the band around +-cap.  An
+    entry that does not clear is reconstructed on its own and widens den to
+    the lcm; the entries before each widening are rescaled to the final
+    denominator at the end, one slice per widening.  Acceptance demands
+    _SLACK_BITS of headroom below the modulus, so a wrapped (garbage)
+    numerator slips through with probability about 2**-_SLACK_BITS and is
+    caught by the residue verification anyway.
+    """
+    d = len(digits)
+    modulus = p**d
     bound = math.isqrt((modulus - 1) // 2)
     half = modulus // 2
     cap = half >> _SLACK_BITS
+    table = _limb_table(p, d)
     nums, den, widened = [], 1, []  # widened: (flat index, denominator before)
-    for x in acc.ravel().tolist():
+
+    def gather(start: int, stop: int) -> np.ndarray:
+        return np.array([row[start:stop] for row in digits], dtype=np.float64)
+
+    def place(x: int) -> bool:
+        nonlocal den
         r = x * den % modulus
         if r > half:
             r -= modulus
         if abs(r) > cap:
             rec = _rational_reconstruct(x, modulus, bound)
             if rec is None:
-                return None
+                return False
             num, de = rec
             wider = den * (de // math.gcd(de, den))
             if wider != den:
@@ -157,6 +273,24 @@ def _reconstruct_matrix(acc: np.ndarray, n: int, modulus: int):
                 den = wider
             r = num * (den // de)
         nums.append(r)
+        return True
+
+    if not all(map(place, _digits_to_ints(gather(0, n), table))):
+        return None
+    toeplitz_den = None
+    start = n
+    while start < n * n:
+        block = gather(start, start + _BLOCK)
+        if toeplitz_den != den:
+            toeplitz, toeplitz_den = _den_toeplitz(den, p, d), den
+        low, ok, negative = _clear(toeplitz, block, p, table)
+        run = len(ok) if ok.all() else int(np.argmin(ok))
+        nums += _digits_to_ints(low[:, :run], table, negative[:run])
+        start += run
+        if run < len(ok):
+            if not place(_digits_to_ints(block[:, run : run + 1], table)[0]):
+                return None
+            start += 1
     nums = np.array(nums, dtype=object)
     start = 0
     for stop, before in widened:
@@ -165,26 +299,66 @@ def _reconstruct_matrix(acc: np.ndarray, n: int, modulus: int):
     return nums.reshape(n, n), den
 
 
+def _limb_weights(width: int, primes: np.ndarray) -> np.ndarray:
+    """2**(16 w) mod q for w <= width (rows) and each prime q (columns)."""
+    _check_exact(width * _LIMB * int(primes.max()), "limb residue sum")
+    out = np.empty((width + 1, len(primes)))
+    out[0] = 1.0
+    for w in range(width):
+        out[w + 1] = out[w] * _LIMB % primes
+    return out
+
+
+def _residues(values: list, weights: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """(len(values), len(primes)) residues of Python ints, as float64.
+
+    Each value's two's-complement 16-bit limbs come from to_bytes; one
+    product with 2**(16 w) mod q reduces them all, and the sign limb
+    subtracts 2**(16 width).
+    """
+    width = len(weights) - 1
+    raw = b"".join(v.to_bytes(2 * width, "little", signed=True) for v in values)
+    limbs = np.frombuffer(raw, dtype="<u2").reshape(len(values), width)
+    negative = limbs[:, -1] >= _LIMB // 2
+    sums = limbs @ weights[:-1] - np.outer(negative, weights[-1])
+    return np.mod(sums, primes)
+
+
 def _verify_product(m: np.ndarray, nums: np.ndarray, den: int, skip: int) -> bool:
     """Prove m @ nums == den * I over the integers.
 
     The identity is checked modulo fresh primes until their product exceeds
     twice the largest possible entry of the difference, which forces every
-    entry of the difference to be exactly zero.  Deterministic, no lifting
-    state is trusted.
+    entry of the difference to be exactly zero.  The returned numerators
+    themselves are reduced, all primes at once, a block of columns at a
+    time; no lifting state is trusted.
     """
     n = m.shape[0]
-    residue_bound = 2 * (n * int(np.abs(m).max()) * int(np.abs(nums).max()) + den)
-    mf = m.astype(np.float64)
-    ident = np.eye(n)
-    prod = 1
+    max_m = int(np.abs(m).max())
+    max_num = max(nums.max(), -nums.min())
+    _check_exact(n * max_m * _PRIME_CEILING, "residue product")
+    residue_bound = 2 * (n * max_m * max_num + den)
+    primes, prod = [], 1
     for q in _primes_below(_PRIME_CEILING, skip={skip}):
-        aq = (nums % q).astype(np.float64)
-        if not np.array_equal(np.mod(mf @ aq, q), ident * (den % q)):
-            return False
+        primes.append(q)
         prod *= q
         if prod > residue_bound:
-            return True
+            break
+    den_q = np.array([den % q for q in primes], dtype=np.float64)
+    primes = np.array(primes, dtype=np.float64)
+    weights = _limb_weights(max_num.bit_length() // 16 + 1, primes)
+    mf = m.astype(np.float64)
+    step = max(1, _BLOCK // n)
+    for c0 in range(0, n, step):
+        cols = nums[:, c0 : c0 + step]
+        c = cols.shape[1]
+        res = _residues(cols.ravel().tolist(), weights, primes)
+        got = np.mod(mf @ res.reshape(n, c * len(primes)), np.tile(primes, c))
+        want = np.zeros((n, c, len(primes)))
+        want[c0 + np.arange(c), np.arange(c)] = den_q
+        if not np.array_equal(got, want.reshape(got.shape)):
+            return False
+    return True
 
 
 def invert_integer_matrix(m) -> RationalMatrix:
@@ -201,8 +375,8 @@ def invert_integer_matrix(m) -> RationalMatrix:
     if n == 0:
         raise ValueError("matrix must be nonempty")
     max_m = int(np.abs(m).max())
-    if n * n * max(max_m, 1) * _PRIME_CEILING >= 1 << 53:
-        raise ValueError("entries too large for exact float64 kernels")
+    # |b| stays below n * max_m, so r0 @ b sums to under n**2 * max_m * p
+    _check_exact(n * n * max(max_m, 1) * _PRIME_CEILING, "p-adic lifting product")
 
     # log2 of the Hadamard determinant bound, from the actual row norms
     log_had = 0.0
@@ -227,28 +401,19 @@ def invert_integer_matrix(m) -> RationalMatrix:
     mf = m.astype(np.float64)
     digits_ceiling = max(4, int(2 * (log_had + 1) / math.log2(p)) + 4)
     b = np.eye(n)
-    acc = np.zeros((n, n), dtype=object)
-    modulus = 1
-    lifted = 0
+    digits = []
     target = min(max(4, int(0.075 * n) + 2), digits_ceiling)
     while True:
-        scale = modulus
-        segment = np.zeros((n, n), dtype=object)
-        segment_mod = 1
-        while lifted < target:
-            digit = np.mod(r0f @ b, p)
+        while len(digits) < target:
+            digit = (r0f @ b).astype(np.int64) % p
             b = (b - mf @ digit) / p  # exact: quotient entries stay integral
-            segment = segment + digit.astype(np.int64).astype(object) * segment_mod
-            segment_mod *= p
-            lifted += 1
-        acc = acc + segment * scale
-        modulus *= segment_mod
-        candidate = _reconstruct_matrix(acc, n, modulus)
+            digits.append(digit.ravel().astype(np.int32))
+        candidate = _reconstruct_matrix(digits, n, p)
         if candidate is not None:
             nums, den = candidate
             if _verify_product(m, nums, den, skip=p):
                 return RationalMatrix(n, nums, den)
-        if lifted >= digits_ceiling:
+        if len(digits) >= digits_ceiling:
             raise RuntimeError("p-adic lifting exceeded its precision ceiling")
         target = min(max(int(1.5 * target) + 1, target + 4), digits_ceiling)
 

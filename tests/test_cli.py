@@ -1,3 +1,4 @@
+import argparse
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import rht
+from rht.cli import _dense_order
 
 
 def run_cli(*args, **kw) -> subprocess.CompletedProcess:
@@ -51,6 +53,20 @@ def test_unknown_subcommand_is_usage_error():
 
 def test_missing_required_flag_is_usage_error():
     assert run_cli("gen-matrix").returncode == 2
+
+
+@pytest.mark.parametrize("command", ["gen-matrix", "pattern", "hadamard", "fast-bench"])
+def test_order_past_dense_budget_exits_two_before_allocating(command, tmp_path):
+    extra = ["--out", str(tmp_path / "p.pgm")] if command == "pattern" else []
+    cp = run_cli(command, "--n", str(10**6), *extra)
+    assert cp.returncode == 2
+    assert "budget" in cp.stderr and "Traceback" not in cp.stderr
+
+
+def test_dense_budget_boundary():
+    assert _dense_order("11585") == 11585  # 8 * 11585**2 <= 2**30
+    with pytest.raises(argparse.ArgumentTypeError):
+        _dense_order("11586")
 
 
 class TestGenMatrix:
