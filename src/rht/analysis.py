@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import _rounded_cas, build_rht_matrix
+from .core import _rounded_cas, _unit_orbits, build_rht_matrix
 from .transform2d import GrayImage
 
 __all__ = [
@@ -148,8 +148,7 @@ def _even_power_residual(n: int, k: int) -> int:
         raise ValueError("order must be positive")
     dtype = np.float64 if n**k < 2**53 else np.int64 if n**k < 2**63 else object
     r = _rounded_cas(n).astype(dtype)
-    orbit_sizes = np.bincount(np.gcd(np.arange(n), n))
-    divisors = np.flatnonzero(orbit_sizes)
+    divisors, orbit_sizes, _, _ = _unit_orbits(n)
     rows = divisors % n
     m = np.arange(n)
     power = r[np.multiply.outer(rows, m) % n]
@@ -163,7 +162,7 @@ def _even_power_residual(n: int, k: int) -> int:
         sums = (residual * residual).sum(axis=1).tolist()
     else:
         sums = (residual.astype(object) ** 2).sum(axis=1).tolist()
-    return sum(w * s for w, s in zip(orbit_sizes[divisors].tolist(), sums))
+    return sum(w * s for w, s in zip(orbit_sizes.tolist(), sums))
 
 
 def residual_square_sum(n: int) -> int:

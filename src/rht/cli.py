@@ -44,7 +44,10 @@ def _positive_int(text: str) -> int:
 
 def _dense_order(text: str) -> int:
     """An order whose dense n x n matrix fits the memory budget."""
-    value = _positive_int(text)
+    return _within_dense_budget(_positive_int(text))
+
+
+def _within_dense_budget(value: int) -> int:
     if 8 * value * value > _DENSE_BYTES:
         limit = math.isqrt(_DENSE_BYTES // 8)
         raise argparse.ArgumentTypeError(
@@ -129,6 +132,7 @@ def _cmd_gen_matrix(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     v = _read_signal(args.signal, args.n)
+    _within_dense_budget(len(v))  # before either n x n matrix is built
     t = rounded_transform(len(v), Normalization.UNSCALED)
     rht_coeffs = apply_direct(t, v).coefficients
     lines = []
@@ -383,6 +387,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
+    except argparse.ArgumentTypeError as e:  # an input known only after parsing
+        print(f"rht: {e}", file=sys.stderr)
+        return USAGE_ERROR
     except _ParseFailure as e:
         print(f"rht: {e}", file=sys.stderr)
         return PARSE_ERROR

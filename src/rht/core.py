@@ -75,6 +75,27 @@ def _rounded_cas(n: int) -> np.ndarray:
     return _round_half_away(table).astype(np.int64)
 
 
+def _unit_orbits(n: int) -> tuple:
+    """Orbits of the indices 0..n-1 under multiplication by the units mod n.
+
+    H[i, j] = r[i*j mod n], so H[u*i, j/u] = H[i, j] for every unit u, and
+    the orbit of i is {i' : gcd(i', n) = gcd(i, n)}.  Returns the divisors d
+    of n in ascending order (d = n stands for index 0), the size of each
+    orbit, and per index i the position of its orbit in the divisors and a
+    unit v with d*v = i mod n.
+    """
+    g = np.gcd(np.arange(n), n)
+    sizes = np.bincount(g)
+    divisors = np.flatnonzero(sizes)
+    units = np.flatnonzero(g == 1)
+    hits = np.multiply.outer(divisors, units) % n
+    orbit = np.empty(n, dtype=np.intp)
+    unit = np.empty(n, dtype=np.int64)
+    orbit[hits] = np.arange(len(divisors))[:, None]
+    unit[hits] = units
+    return divisors, sizes[divisors], orbit, unit
+
+
 def _row_sum_plan(block: np.ndarray) -> tuple:
     """Signed column indices (j for a +1, width + j for a -1) and row starts
     of a ternary block, so row i of block @ x sums concatenate([x, -x]) over

@@ -1,19 +1,22 @@
 """Exact rational inversion of integer matrices.
 
-The inverse of the rounded transform matrix is computed in exact arithmetic
-by p-adic lifting: a single modular inverse seeds a digit-by-digit expansion
-of the solution of M X = I, the digits are cleared by a common denominator
-and converted to rationals (lattice reduction only where an entry needs it),
-and the candidate is then proven correct by a deterministic residue check
-before it is returned.
+Both inverses are exact solutions of M X = R by p-adic lifting: a single
+solve modulo a prime seeds a digit-by-digit expansion of X, the digits are
+cleared by a common denominator and converted to rationals (lattice
+reduction only where an entry needs it), and the candidate is then proven
+correct by a deterministic residue check before it is returned.  A general
+matrix is solved against R = I.  The rounded transform matrix is solved
+against only the unit vectors at the divisors of its order: its inverse
+keeps the matrix's symmetry under the units mod n, so those tau(n) columns
+fix the whole inverse, and every stage works on n * tau(n) entries.
 
-The lifted base-p digits are kept as one int32 row of n*n entries per
-digit.  Every per-entry stage (clearing, conversion to Python ints,
-reduction modulo the verification primes) is a float64 product over blocks
-of at most _BLOCK entries, and each checks that its sums stay below 2**53,
-so every machine product is exact.  Python integers are built once per
-entry, from bytes; only the entries that fix the denominator, and the rare
-ones the digit test cannot decide, go through Python-int arithmetic.
+The lifted base-p digits are kept as one int32 row per digit.  Every
+per-entry stage (clearing, conversion to Python ints, reduction modulo the
+verification primes) is a float64 product over blocks of at most _BLOCK
+entries, and each checks that its sums stay below 2**53, so every machine
+product is exact.  Python integers are built once per entry, from bytes;
+only the entries that fix the denominator, and the rare ones the digit test
+cannot decide, go through Python-int arithmetic.
 """
 
 from __future__ import annotations
@@ -94,29 +97,30 @@ def _primes_below(limit, skip=()):
     raise RuntimeError("prime pool exhausted")
 
 
-def _gj_inverse_mod(m: np.ndarray, p: int):
-    """Gauss-Jordan inverse of m mod p, or None when m is singular mod p.
+def _gj_solve_mod(m: np.ndarray, rhs: np.ndarray, p: int):
+    """Gauss-Jordan solution of m X = rhs mod p, or None when m is singular
+    mod p.
 
-    Reduction is deferred: entries grow by at most p**2 per pivot and are
-    folded back every 512 pivots, staying far below int64 overflow.
+    Only the columns from the pivot on are updated: those before it are
+    already reduced.  Reduction is deferred: entries grow by at most p**2
+    per pivot and are folded back every 512 pivots, staying far below int64
+    overflow.
     """
     n = m.shape[0]
-    a = np.concatenate([np.mod(m, p), np.eye(n, dtype=np.int64)], axis=1)
+    a = np.concatenate([np.mod(m, p), np.mod(rhs, p)], axis=1)
     for c in range(n):
-        col = np.mod(a[c:, c], p)
-        nz = np.nonzero(col)[0]
+        nz = np.flatnonzero(np.mod(a[c:, c], p))
         if nz.size == 0:
             return None
         r = c + nz[0]
         if r != c:
-            a[[c, r]] = a[[r, c]]
-        pivrow = np.mod(a[c], p)
-        pv = int(pivrow[c])
-        pivrow = pivrow * pow(pv, -1, p) % p
-        a[c] = pivrow
+            a[[c, r], c:] = a[[r, c], c:]
+        pivrow = np.mod(a[c, c:], p)
+        pivrow = pivrow * pow(int(pivrow[0]), -1, p) % p
+        a[c, c:] = pivrow
         f = np.mod(a[:, c], p)
         f[c] = 0
-        a -= np.outer(f, pivrow)
+        a[:, c:] -= np.outer(f, pivrow)
         if (c & 511) == 511:
             np.mod(a, p, out=a)
     return np.mod(a[:, n:], p)
@@ -203,7 +207,7 @@ def _clear(toeplitz: np.ndarray, block: np.ndarray, p: int, table):
     """Clear each column x of a (d, B) base-p digit block by den.
 
     Returns the base-p digits of r = den * x mod p**d (den is the one behind
-    ``toeplitz``), the mask of the entries _reconstruct_matrix accepts,
+    ``toeplitz``), the mask of the entries _reconstruct accepts,
     r <= cap or r >= p**d - cap, and the mask of those read as r - p**d.
     The top two digits decide all but the entries in the band around
     +-cap, whose r is then formed as a Python int.
@@ -229,13 +233,15 @@ def _clear(toeplitz: np.ndarray, block: np.ndarray, p: int, table):
     return low, ok, negative
 
 
-def _reconstruct_matrix(digits: list, n: int, p: int):
-    """Rational matrix from its lifted base-p digits (one flat int32 array
-    per digit), or None if the lifted precision is still insufficient.
+def _reconstruct(digits: list, n: int, p: int):
+    """Rational entries from their lifted base-p digits (one flat int32
+    array per digit, one column of n entries after another), as integer
+    numerators over one common denominator, or None if the lifted precision
+    is still insufficient.
 
     Entries are walked in order and each is cleared by the running common
     denominator den: den * x mod p**d, lifted symmetrically, is accepted as
-    the numerator when at most cap.  The first row, which fixes the
+    the numerator when at most cap.  The first column, which fixes the
     denominator, goes through Python ints; later entries are cleared in
     digit space a block at a time, and their top two digits decide the
     test, leaving Python ints to the entries in the band around +-cap.  An
@@ -247,6 +253,7 @@ def _reconstruct_matrix(digits: list, n: int, p: int):
     caught by the residue verification anyway.
     """
     d = len(digits)
+    size = len(digits[0])
     modulus = p**d
     bound = math.isqrt((modulus - 1) // 2)
     half = modulus // 2
@@ -279,7 +286,7 @@ def _reconstruct_matrix(digits: list, n: int, p: int):
         return None
     toeplitz_den = None
     start = n
-    while start < n * n:
+    while start < size:
         block = gather(start, start + _BLOCK)
         if toeplitz_den != den:
             toeplitz, toeplitz_den = _den_toeplitz(den, p, d), den
@@ -296,7 +303,7 @@ def _reconstruct_matrix(digits: list, n: int, p: int):
     for stop, before in widened:
         nums[start:stop] *= den // before
         start = stop
-    return nums.reshape(n, n), den
+    return nums, den
 
 
 def _limb_weights(width: int, primes: np.ndarray) -> np.ndarray:
@@ -324,8 +331,10 @@ def _residues(values: list, weights: np.ndarray, primes: np.ndarray) -> np.ndarr
     return np.mod(sums, primes)
 
 
-def _verify_product(m: np.ndarray, nums: np.ndarray, den: int, skip: int) -> bool:
-    """Prove m @ nums == den * I over the integers.
+def _verify_product(
+    m: np.ndarray, nums: np.ndarray, den: int, rhs: np.ndarray, skip: int
+) -> bool:
+    """Prove m @ nums == den * rhs over the integers.
 
     The identity is checked modulo fresh primes until their product exceeds
     twice the largest possible entry of the difference, which forces every
@@ -333,11 +342,11 @@ def _verify_product(m: np.ndarray, nums: np.ndarray, den: int, skip: int) -> boo
     themselves are reduced, all primes at once, a block of columns at a
     time; no lifting state is trusted.
     """
-    n = m.shape[0]
+    n, r = nums.shape
     max_m = int(np.abs(m).max())
     max_num = max(nums.max(), -nums.min())
     _check_exact(n * max_m * _PRIME_CEILING, "residue product")
-    residue_bound = 2 * (n * max_m * max_num + den)
+    residue_bound = 2 * (n * max_m * max_num + den * int(np.abs(rhs).max()))
     primes, prod = [], 1
     for q in _primes_below(_PRIME_CEILING, skip={skip}):
         primes.append(q)
@@ -349,16 +358,73 @@ def _verify_product(m: np.ndarray, nums: np.ndarray, den: int, skip: int) -> boo
     weights = _limb_weights(max_num.bit_length() // 16 + 1, primes)
     mf = m.astype(np.float64)
     step = max(1, _BLOCK // n)
-    for c0 in range(0, n, step):
+    for c0 in range(0, r, step):
         cols = nums[:, c0 : c0 + step]
         c = cols.shape[1]
         res = _residues(cols.ravel().tolist(), weights, primes)
         got = np.mod(mf @ res.reshape(n, c * len(primes)), np.tile(primes, c))
-        want = np.zeros((n, c, len(primes)))
-        want[c0 + np.arange(c), np.arange(c)] = den_q
+        want = np.mod(np.multiply.outer(rhs[:, c0 : c0 + c], den_q), primes)
         if not np.array_equal(got, want.reshape(got.shape)):
             return False
     return True
+
+
+def _solve(m: np.ndarray, rhs: np.ndarray, expand):
+    """Exact solution of m X = rhs for a square int64 m and an (n, r) int64
+    rhs: (numerators, den) with m @ numerators == den * rhs and den the
+    least common denominator of X, numerators an (n, r) object array.
+
+    Dixon's p-adic lifting: one Gauss-Jordan solve of [m | rhs] mod p seeds
+    it, ``expand`` turns that (n, r) solution mod p into m**-1 mod p, each
+    further base-p digit costs one product of m**-1 mod p with the (n, r)
+    residual, and the reconstructed candidate is proven by _verify_product
+    before it is returned.  Raises NotInvertible when m is singular;
+    singularity is certified by determinant residues over enough primes to
+    exceed the Hadamard bound, never by floating point.
+    """
+    n, r = rhs.shape
+    max_m = int(np.abs(m).max())
+    # |b| stays below n * max_m, so r0 @ b sums to under n**2 * max_m * p
+    _check_exact(n * n * max(max_m, 1) * _PRIME_CEILING, "p-adic lifting product")
+
+    # log2 of the Hadamard determinant bound, from the actual row norms
+    log_had = 0.0
+    for row in m:
+        norm_sq = float(np.dot(row.astype(np.float64), row.astype(np.float64)))
+        log_had += 0.5 * math.log2(max(norm_sq, 1.0))
+
+    log_tried = 0.0
+    for p in _primes_below(_PRIME_CEILING):
+        sol = _gj_solve_mod(m, rhs, p)
+        if sol is not None:
+            break
+        # det = 0 mod p; enough such primes certify det = 0 over the integers
+        log_tried += math.log2(p)
+        if log_tried > log_had + 1:
+            raise NotInvertible(
+                f"determinant is zero (certified across residues, order {n})"
+            )
+
+    r0f = expand(sol).astype(np.float64)
+    mf = m.astype(np.float64)
+    digits_ceiling = max(4, int(2 * (log_had + 1) / math.log2(p)) + 4)
+    b = rhs.astype(np.float64)
+    digits = []
+    target = min(max(4, int(0.075 * n) + 2), digits_ceiling)
+    while True:
+        while len(digits) < target:
+            digit = (r0f @ b).astype(np.int64) % p
+            b = (b - mf @ digit) / p  # exact: quotient entries stay integral
+            digits.append(digit.T.ravel().astype(np.int32))
+        candidate = _reconstruct(digits, n, p)
+        if candidate is not None:
+            nums, den = candidate
+            nums = nums.reshape(r, n).T
+            if _verify_product(m, nums, den, rhs, skip=p):
+                return nums, den
+        if len(digits) >= digits_ceiling:
+            raise RuntimeError("p-adic lifting exceeded its precision ceiling")
+        target = min(max(int(1.5 * target) + 1, target + 4), digits_ceiling)
 
 
 def invert_integer_matrix(m) -> RationalMatrix:
@@ -374,59 +440,30 @@ def invert_integer_matrix(m) -> RationalMatrix:
     n = m.shape[0]
     if n == 0:
         raise ValueError("matrix must be nonempty")
-    max_m = int(np.abs(m).max())
-    # |b| stays below n * max_m, so r0 @ b sums to under n**2 * max_m * p
-    _check_exact(n * n * max(max_m, 1) * _PRIME_CEILING, "p-adic lifting product")
-
-    # log2 of the Hadamard determinant bound, from the actual row norms
-    log_had = 0.0
-    for row in m:
-        norm_sq = float(np.dot(row.astype(np.float64), row.astype(np.float64)))
-        log_had += 0.5 * math.log2(max(norm_sq, 1.0))
-
-    r0 = None
-    log_tried = 0.0
-    for p in _primes_below(_PRIME_CEILING):
-        r0 = _gj_inverse_mod(m, p)
-        if r0 is not None:
-            break
-        # det = 0 mod p; enough such primes certify det = 0 over the integers
-        log_tried += math.log2(p)
-        if log_tried > log_had + 1:
-            raise NotInvertible(
-                f"determinant is zero (certified across residues, order {n})"
-            )
-
-    r0f = r0.astype(np.float64)
-    mf = m.astype(np.float64)
-    digits_ceiling = max(4, int(2 * (log_had + 1) / math.log2(p)) + 4)
-    b = np.eye(n)
-    digits = []
-    target = min(max(4, int(0.075 * n) + 2), digits_ceiling)
-    while True:
-        while len(digits) < target:
-            digit = (r0f @ b).astype(np.int64) % p
-            b = (b - mf @ digit) / p  # exact: quotient entries stay integral
-            digits.append(digit.ravel().astype(np.int32))
-        candidate = _reconstruct_matrix(digits, n, p)
-        if candidate is not None:
-            nums, den = candidate
-            if _verify_product(m, nums, den, skip=p):
-                return RationalMatrix(n, nums, den)
-        if len(digits) >= digits_ceiling:
-            raise RuntimeError("p-adic lifting exceeded its precision ceiling")
-        target = min(max(int(1.5 * target) + 1, target + 4), digits_ceiling)
+    nums, den = _solve(m, np.eye(n, dtype=np.int64), lambda sol: sol)
+    return RationalMatrix(n, nums, den)
 
 
 def exact_inverse(n: int) -> RationalMatrix:
     """Exact inverse of the order-n unscaled rounded Hartley matrix.
 
-    The product with the original matrix is verified to equal the identity
-    in exact arithmetic before the result is returned; a singular matrix
-    raises NotInvertible, which would be a counterexample worth reporting.
+    The inverse keeps the unit symmetry of H: H**-1[d*v, j] = H**-1[d, v*j]
+    for every unit v, and H**-1 is symmetric, so its columns c_d at the
+    divisors d of n fix it, and only they are solved for.  Row d*v of the
+    assembled X is c_d read at v*j, and H[k, j/v] = H[k/v, j] turns the
+    certificate H @ c_d == den * e_d into H @ (row d*v) == den * e_{d*v}.
+    So checking the tau(n) columns proves H @ X.T == den * I, hence (H being
+    symmetric) H @ X == den * I.  A singular matrix raises NotInvertible,
+    which would be a counterexample worth reporting.
     """
-    from .core import build_rht_matrix
+    from .core import _unit_orbits, build_rht_matrix
 
     if n < 1:
         raise ValueError("order must be positive")
-    return invert_integer_matrix(build_rht_matrix(n).entries)
+    divisors, _, orbit, unit = _unit_orbits(n)
+    e = np.zeros((n, len(divisors)), dtype=np.int64)
+    e[divisors % n, np.arange(len(divisors))] = 1
+    # X[d*v, j] = X[v*j, d]: entry (v*j, orbit of i) of the divisor columns
+    index = np.multiply.outer(unit, np.arange(n)) % n, orbit[:, None]
+    cols, den = _solve(build_rht_matrix(n).entries, e, lambda sol: sol[index])
+    return RationalMatrix(n, cols[index], den)

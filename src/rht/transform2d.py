@@ -140,12 +140,16 @@ def exact_inverse_2d(b) -> GrayImage:
     The flip combination is an involution, so it undoes itself; what
     remains is stripping K from both sides.  Evaluated in float64, good
     to ~1e-9 at the orders where the inverse entries stay moderate.
+    Denominators pass float64's range from order 293 on, so numerators and
+    denominator share one right shift that leaves the denominator 64 bits.
     """
     from .exact import exact_inverse
 
     b = _as_grid(b)
     inv = exact_inverse(b.order)
-    inv_f = np.array(inv.numerators, dtype=np.float64) / float(inv.denominator)
+    shift = max(0, inv.denominator.bit_length() - 64)
+    inv_f = np.array(inv.numerators >> shift, dtype=np.float64)
+    inv_f /= float(inv.denominator >> shift)
     t = _flip_combination(b.values)
     return GrayImage(inv_f @ t @ inv_f)
 

@@ -1,14 +1,13 @@
 """Acceptance gate: every headline claim of the toolkit, with tolerances.
 
 The error-norm curve is evaluated in exact integer arithmetic over all
-orders 2..1024 once per run (6.4 s on a 2-core x86-64 host) and shared by
+orders 2..1024 once per run (4.8 s on a 2-core x86-64 host) and shared by
 the bound, peak, and fit tests.  The exact-inverse sweep to order 256 adds
-50 s there; the whole default suite takes about 83 s.
-The `slow` marker extends that sweep to 1024 (about two and a half hours
-there, extrapolated from ten random orders in 257..1024, not run; an
-order's cost follows its denominator size, 0.55 s at order 300, 25 s at
-1024, 45 s at 903); it is excluded by default via the pytest configuration
-and selected with `pytest -m slow`.
+9 s there; the whole default suite takes 52-62 s.
+The `slow` marker extends that sweep to 1024 (1309 s there with a peak RSS
+of 157 MB, one run; single orders take 0.09 s at 300, 2.2 s at 903 and
+2.5 s at 1024); it is excluded by default via the pytest configuration and
+selected with `pytest -m slow`.
 
 Reference images: set RHT_IMAGE_DIR to a directory containing the
 USC-SIPI pictures (5.1.09, 5.1.11, 5.2.09, 7.1.08, 7.1.09) converted to

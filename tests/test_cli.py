@@ -63,6 +63,14 @@ def test_order_past_dense_budget_exits_two_before_allocating(command, tmp_path):
     assert "budget" in cp.stderr and "Traceback" not in cp.stderr
 
 
+def test_spectrum_of_signal_past_dense_budget_exits_two_before_allocating(tmp_path):
+    sig = tmp_path / "long.txt"
+    sig.write_text("0.5\n" * 10**6)
+    cp = run_cli("spectrum", "--signal", str(sig), "--dht")
+    assert cp.returncode == 2
+    assert "budget" in cp.stderr and "Traceback" not in cp.stderr
+
+
 def test_dense_budget_boundary():
     assert _dense_order("11585") == 11585  # 8 * 11585**2 <= 2**30
     with pytest.raises(argparse.ArgumentTypeError):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import rht.core as core
 from rht import (
     Normalization,
     ScaledTransform,
@@ -245,3 +246,14 @@ def test_fourier_estimate_of_real_even_signal_is_real():
     v = np.array([4.0, 1.0, 2.0, 1.0])  # even symmetry v[k] == v[n-k]
     f = fourier_estimate(apply_dht(build_dht_matrix(4), v))
     np.testing.assert_allclose(f.imag, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 97, 360, 1024])
+def test_unit_orbits_map_every_index_to_a_divisor_times_a_unit(n):
+    divisors, sizes, orbit, unit = core._unit_orbits(n)
+    i = np.arange(n)
+    assert divisors.tolist() == [d for d in range(1, n + 1) if n % d == 0]
+    assert np.array_equal(np.gcd(i, n), divisors[orbit])  # gcd(0, n) = n
+    assert np.array_equal(divisors[orbit] * unit % n, i)
+    assert (np.gcd(unit, n) == 1).all()
+    assert sizes.tolist() == np.bincount(orbit, minlength=len(divisors)).tolist()

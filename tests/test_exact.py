@@ -296,5 +296,41 @@ def test_float64_guards_raise_past_their_bounds():
     with pytest.raises(ValueError, match="limb residue"):
         exact._limb_weights(1 << 18, np.array([float(p)]))
     nums = np.array([[1, 0], [0, 1]], dtype=object)
+    m = np.full((2, 2), 1 << 32, dtype=np.int64)
     with pytest.raises(ValueError, match="residue product"):
-        exact._verify_product(np.full((2, 2), 1 << 32, dtype=np.int64), nums, 1, skip=p)
+        exact._verify_product(m, nums, 1, np.eye(2, dtype=np.int64), skip=p)
+
+
+@pytest.mark.parametrize("n", list(range(1, 65)) + [97, 128, 199, 256])
+def test_divisor_column_solve_equals_full_inversion(n):
+    want = invert_integer_matrix(build_rht_matrix(n).entries)
+    got = exact_inverse(n)
+    assert got.denominator == want.denominator
+    assert got.numerators.tolist() == want.numerators.tolist()
+
+
+@pytest.mark.parametrize(
+    "n, units", [(12, [5, 7, 11]), (60, [7, 11, 59]), (97, [2, 5, 96]), (128, [3, 77, 127])]
+)
+def test_full_inverse_keeps_the_unit_symmetry(n, units):
+    # checked on the n x n solve, which does not assume the symmetry
+    x = invert_integer_matrix(build_rht_matrix(n).entries).numerators
+    i = np.arange(n)
+    for u in units:
+        assert x[np.ix_(u * i % n, pow(u, -1, n) * i % n)].tolist() == x.tolist()
+
+
+@pytest.mark.parametrize("n", [60, 97])
+def test_divisor_column_certificate_rejects_one_corrupted_numerator(n):
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    e = np.zeros((n, len(divisors)), dtype=np.int64)
+    e[np.array(divisors) % n, np.arange(len(divisors))] = 1
+    h = build_rht_matrix(n).entries
+    inv = exact_inverse(n)
+    cols = inv.numerators[:, np.array(divisors) % n]  # H^-1 is symmetric
+    assert exact._verify_product(h, cols, inv.denominator, e, skip=0)
+    rng = np.random.default_rng(n)
+    for k in range(len(divisors)):
+        bad = cols.copy()
+        bad[int(rng.integers(n)), k] += 1
+        assert not exact._verify_product(h, bad, inv.denominator, e, skip=0)
