@@ -4,7 +4,7 @@ The DHT matrix rounded entrywise to {-1, 0, 1} gives an integer,
 multiplication-free spectral operator that is its own weak inverse under
 symmetric scaling.  This package provides the matrices, the fast
 radix-2 evaluation, exact rational inverses, the error-norm analysis
-apparatus, the 2-D image pipeline, and raster/CSV I/O.
+apparatus, the 2-D image pipeline, and raster I/O.
 """
 
 from . import analysis, core, exact, fast, image_io, transform2d

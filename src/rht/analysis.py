@@ -1,14 +1,13 @@
 """Measurement apparatus for the rounded transform family.
 
-Covers the n-norm, matrix periods, the exact error-norm curve of the
-squared scaled matrix, Freundlich power-law fitting, quasi-periodicity
-checks, Hadamard column matching, and intensity-diagram rendering.
+Covers the n-norm, the exact error-norm curve of the squared scaled
+matrix, Freundlich power-law fitting, quasi-periodicity checks, Hadamard
+column matching, and intensity-diagram rendering.
 
-The norm curve is computed in exact integer arithmetic from one row of the
-squared ternary matrix per divisor of n (see _even_power_residual; float64
-matmul is exact there because every partial sum is an integer far below
-2**53), and the rational mu**2 = q / n**4 is only converted to a float at
-the edge.
+The norm curve and the quasi-period checks are computed in exact integer
+arithmetic from one row of the ternary matrix power per divisor of n (see
+_power_traces; float64 matmul is exact there because every partial sum is
+an integer below 2**53), and mu is only converted to a float at the edge.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -29,13 +28,10 @@ __all__ = [
     "ColumnPermutation",
     "QuasiPeriodReport",
     "n_norm",
-    "matrix_period",
     "residual_square_sum",
     "exact_mu_squared",
     "norm_curve",
-    "norm_curve_at",
     "freundlich_fit",
-    "quasi_equivalence",
     "quasi_period_check",
     "walsh_matrix",
     "hadamard_permutation",
@@ -117,52 +113,42 @@ def n_norm(m) -> float:
     return float(np.linalg.norm(m)) / m.shape[0]
 
 
-def matrix_period(m, max_k: int, tol: float = 1e-9) -> Optional[int]:
-    """Smallest k <= max_k with A**(k+1) == A entrywise within tol.
+def _power_traces(n: int, k: int) -> tuple:
+    """Exact integers S = ||H_n**k||_F**2 and T = tr(H_n**k).
 
-    Returns None when no period exists in range (an idempotent projection
-    has period 1, an involution has period 2).
-    """
-    a = np.asarray(m, dtype=np.float64)
-    power = a
-    for k in range(1, max_k + 1):
-        power = power @ a
-        if np.max(np.abs(power - a)) <= tol:
-            return k
-    return None
-
-
-def _even_power_residual(n: int, k: int) -> int:
-    """Integer q = sum of squares of the entries of (H_n**k - n**(k/2) I), k even.
-
-    H[i, j] = r[i*j mod n], so for every unit u mod n H[u*i, j/u] = H[i, j],
-    hence H**k[u*i, u*j] = H**k[i, j] for even k.  The rows i with
-    gcd(i, n) = d form one orbit under the units, and rows of one orbit have
-    equal square sums, so q needs one row per divisor d, weighted by the
-    orbit size.  Every partial sum of a row of H**j is bounded by
-    n**j <= n**k, so the rows are formed in float64 while n**k < 2**53, in
-    int64 while n**k < 2**63, and in Python ints beyond that.  H is gathered
-    64 columns at a time from the rounded cas table, so no n x n array is held.
+    H[i, j] = r[i*j mod n], so for every unit u mod n H[u*i, j/u] = H[i, j];
+    hence H**k[u*i, u*j] = H**k[i, j] for even k and H**k[u*i, j/u] =
+    H**k[i, j] for odd k.  The rows i with gcd(i, n) = d form one orbit under
+    the units, and rows of one orbit have equal square sums, so S needs one
+    row per divisor d, weighted by the orbit size.  On the diagonal,
+    H**k[d*v, d*v] is H**k[d, d] for even k and H**k[d, d*v**2] for odd k, so
+    T is one gather from the same rows.  Every partial sum of a row of H**j
+    is bounded by n**j <= n**k, so the rows are formed in float64 while
+    n**k < 2**53, in int64 while n**k < 2**63, and in Python ints beyond
+    that.  H is gathered 64 columns at a time from the rounded cas table, so
+    no n x n array is held.
     """
     if n < 1:
         raise ValueError("order must be positive")
     dtype = np.float64 if n**k < 2**53 else np.int64 if n**k < 2**63 else object
     r = _rounded_cas(n).astype(dtype)
-    divisors, orbit_sizes, _, _ = _unit_orbits(n)
+    divisors, orbit_sizes, orbit, unit = _unit_orbits(n)
     rows = divisors % n
     m = np.arange(n)
     power = r[np.multiply.outer(rows, m) % n]
     for _ in range(k - 1):
         blocks = (r[np.multiply.outer(m, m[j : j + 64]) % n] for j in range(0, n, 64))
         power = np.hstack([power @ h for h in blocks])
-    residual = power.astype(np.int64) if dtype is np.float64 else power
-    residual[np.arange(len(rows)), rows] -= n ** (k // 2)
+    if dtype is np.float64:
+        power = power.astype(np.int64)
+    v2 = unit * unit % n if k % 2 else 1
+    trace = int(power[orbit, rows[orbit] * v2 % n].sum())
     # each row sum fits int64 when n * max|entry|**2 does; else Python ints
-    if n * int(np.abs(residual).max()) ** 2 < 2**63:
-        sums = (residual * residual).sum(axis=1).tolist()
+    if n * int(np.abs(power).max()) ** 2 < 2**63:
+        sums = (power * power).sum(axis=1).tolist()
     else:
-        sums = (residual.astype(object) ** 2).sum(axis=1).tolist()
-    return sum(w * s for w, s in zip(orbit_sizes.tolist(), sums))
+        sums = (power.astype(object) ** 2).sum(axis=1).tolist()
+    return sum(w * s for w, s in zip(orbit_sizes.tolist(), sums)), trace
 
 
 def residual_square_sum(n: int) -> int:
@@ -171,7 +157,8 @@ def residual_square_sum(n: int) -> int:
     mu(H_s**2 - I) equals sqrt(q)/n**2 with H_s the symmetric-scaled
     matrix, so q carries the entire curve exactly.
     """
-    return _even_power_residual(n, 2)
+    s, t = _power_traces(n, 2)
+    return s - 2 * n * t + n**3
 
 
 def exact_mu_squared(n: int) -> Fraction:
@@ -187,13 +174,8 @@ def norm_curve(n_lo: int, n_hi: int, stride: int = 1) -> NormCurve:
     """Curve of mu(H_s,n**2 - I_n) for n = n_lo, n_lo+stride, ..., n_hi."""
     if not 2 <= n_lo <= n_hi:
         raise ValueError("need 2 <= n_lo <= n_hi")
-    return norm_curve_at(range(n_lo, n_hi + 1, stride))
-
-
-def norm_curve_at(orders) -> NormCurve:
-    """Curve restricted to an explicit list of orders (sparse grids)."""
-    pts = tuple((n, _mu_from_q(residual_square_sum(n), n)) for n in orders)
-    return NormCurve(pts)
+    orders = range(n_lo, n_hi + 1, stride)
+    return NormCurve(tuple((n, _mu_from_q(residual_square_sum(n), n)) for n in orders))
 
 
 def freundlich_fit(curve: NormCurve) -> FreundlichFit:
@@ -214,56 +196,43 @@ def freundlich_fit(curve: NormCurve) -> FreundlichFit:
     return FreundlichFit(float(np.exp(log_a)), float(b), rms, excluded)
 
 
-def quasi_equivalence(
-    family_a: Callable[[int], np.ndarray],
-    family_b: Callable[[int], np.ndarray],
-    orders: Sequence[int],
-    epsilon: float,
-) -> QuasiPeriodReport:
-    """Generic comparator: are two matrix families within epsilon in n-norm
-    at every tested order?  Floating-point evaluation."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    results = []
-    max_mu, max_at = -1.0, 0
-    for n in orders:
-        mu = n_norm(np.asarray(family_a(n), dtype=np.float64) - family_b(n))
-        results.append((n, mu <= epsilon))
-        if mu > max_mu:
-            max_mu, max_at = mu, n
-    return QuasiPeriodReport(0, float(epsilon), tuple(results), max_mu, max_at)
+def _at_most(a, b, m: int) -> bool:
+    """a <= b * sqrt(m), exactly, for rationals a, b and an integer m >= 1."""
+    if b >= 0:
+        return a <= 0 or a * a <= b * b * m
+    return a <= 0 and a * a >= b * b * m
 
 
 def quasi_period_check(orders, k: int, epsilon) -> QuasiPeriodReport:
-    """Evaluate mu(H_s,n**k - I_n) <= epsilon for each order.
+    """Decide mu(H_s,n**k - I_n) <= epsilon exactly for each order.
 
-    For even k the comparison is exact at every order: the residual square
-    sum of the integer power of the ternary matrix is formed exactly from
-    one row per divisor, the scale n**(k/2) is an integer, and mu**2 is
-    compared to epsilon**2 as rationals.  Odd k involves an irrational
-    scale, so those checks run in floating point through the generic
-    comparator.
+    With S = ||H**k||_F**2 and T = tr(H**k) from _power_traces,
+    mu**2 * n**(k+2) = c - b*sqrt(m), where c = S + n**(k+1),
+    b = 2*T*n**(k//2), and m = 1 for even k or n for odd k.  So mu <= epsilon
+    is c - epsilon**2 * n**(k+2) <= b*sqrt(m), which _at_most decides over
+    the rationals.  Only max_mu is a float: its mu**2 takes sqrt(m) to 64
+    bits and, for b > 0, is formed as (c**2 - b**2*m) / (c + b*sqrt(m)) so
+    that it does not cancel.  It is exact when m is a perfect square, which
+    covers every even k.
     """
     orders = list(orders)
+    if not orders:
+        raise ValueError("orders must not be empty")
     if k < 1:
         raise ValueError("power must be a positive integer")
     eps = Fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    if k % 2 == 1:
-
-        def scaled_power(n):
-            hs = build_rht_matrix(n).entries / math.sqrt(n)
-            return np.linalg.matrix_power(hs, k)
-
-        rep = quasi_equivalence(scaled_power, lambda n: np.eye(n), orders, float(eps))
-        return QuasiPeriodReport(k, float(eps), rep.results, rep.max_mu, rep.max_mu_order)
-    eps2 = eps * eps
     results = []
     max_mu2, max_at = Fraction(-1), 0
     for n in orders:
-        mu2 = Fraction(_even_power_residual(n, k), n ** (k + 2))
-        results.append((n, mu2 <= eps2))
+        s, t = _power_traces(n, k)
+        c = s + n ** (k + 1)
+        b, m = 2 * t * n ** (k // 2), n if k % 2 else 1
+        results.append((n, _at_most(c - eps * eps * n ** (k + 2), b, m)))
+        root = Fraction(math.isqrt(m << 128), 1 << 64)
+        x = (c * c - b * b * m) / (c + b * root) if b > 0 else c - b * root
+        mu2 = x / n ** (k + 2)
         if mu2 > max_mu2:
             max_mu2, max_at = mu2, n
     return QuasiPeriodReport(k, float(eps), tuple(results), math.sqrt(max_mu2), max_at)

@@ -265,6 +265,7 @@ def _cmd_image2d(args) -> int:
         raise _ParseFailure(f"cannot read image: {e}") from None
     except ValueError as e:
         raise _ParseFailure(str(e)) from None
+    _within_dense_budget(image.order)  # before the n x n sandwich is built
     print(f"image2d: {in_path} is {image.order}x{image.order}", file=sys.stderr)
     report = roundtrip_report(image)
     if args.coeffs:

@@ -1,4 +1,4 @@
-"""Raster and tabular I/O: PGM (P2/P5), 8-bit uncompressed BMP, CSV curves.
+"""Raster I/O: PGM (P2/P5) and 8-bit uncompressed BMP.
 
 Parsing is strict and deterministic.  Every malformed input raises
 RasterFormatError with a message naming the offending header field; no
@@ -8,7 +8,6 @@ silent zero-fill, no partial images.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -16,22 +15,11 @@ import numpy as np
 from .core import _round_half_away
 from .transform2d import GrayImage
 
-__all__ = ["RasterFormatError", "RasterFile", "probe", "load_gray", "save_pgm", "write_csv"]
+__all__ = ["RasterFormatError", "load_gray", "save_pgm"]
 
 
 class RasterFormatError(ValueError):
     """A raster file failed to parse; the message names the bad field."""
-
-
-@dataclass(frozen=True)
-class RasterFile:
-    """Parsed header summary of a raster file."""
-
-    path: str
-    format: str  # "PGM-ascii", "PGM-binary", "BMP-8bit-grayscale"
-    width: int
-    height: int
-    maxval: int
 
 
 class _TokenReader:
@@ -69,7 +57,7 @@ class _TokenReader:
             raise RasterFormatError(f"PGM {field} is not an integer: {tok!r}") from None
 
 
-def _parse_pgm(data: bytes, path: str):
+def _parse_pgm(data: bytes) -> np.ndarray:
     rd = _TokenReader(data)
     magic = rd.token("magic")
     if magic not in (b"P2", b"P5"):
@@ -93,7 +81,6 @@ def _parse_pgm(data: bytes, path: str):
                 f"PGM pixel data truncated: expected {count} bytes, found {len(raw)}"
             )
         pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
-        fmt = "PGM-binary"
     else:
         values = []
         for _ in range(count):
@@ -104,16 +91,14 @@ def _parse_pgm(data: bytes, path: str):
                 )
             values.append(rd.integer("sample"))
         pixels = np.array(values, dtype=np.float64)
-        fmt = "PGM-ascii"
     if pixels.max(initial=0) > maxval:
         raise RasterFormatError(
             f"PGM sample value {int(pixels.max())} exceeds declared maxval {maxval}"
         )
-    info = RasterFile(path, fmt, width, height, maxval)
-    return info, pixels.reshape(height, width)
+    return pixels.reshape(height, width)
 
 
-def _parse_bmp(data: bytes, path: str):
+def _parse_bmp(data: bytes) -> np.ndarray:
     if len(data) < 54:
         raise RasterFormatError(f"BMP header truncated: {len(data)} bytes")
     if data[:2] != b"BM":
@@ -159,31 +144,25 @@ def _parse_bmp(data: bytes, path: str):
     gray = b[idx].astype(np.float64)
     if not top_down:
         gray = gray[::-1]  # stored bottom-up; row 0 of the result is the top
-    info = RasterFile(path, "BMP-8bit-grayscale", width, rows, 255)
-    return info, gray
+    return gray
 
 
-def _parse(path) -> tuple:
-    p = Path(path)
-    data = p.read_bytes()
+def _parse(path) -> np.ndarray:
+    data = Path(path).read_bytes()
     if data[:2] in (b"P2", b"P5"):
-        return _parse_pgm(data, str(p))
+        return _parse_pgm(data)
     if data[:2] == b"BM":
-        return _parse_bmp(data, str(p))
+        return _parse_bmp(data)
     raise RasterFormatError(f"unrecognized raster magic {data[:2]!r} (want PGM or BMP)")
-
-
-def probe(path) -> RasterFile:
-    """Parse and validate a raster header without keeping the pixels."""
-    return _parse(path)[0]
 
 
 def load_gray(path) -> GrayImage:
     """Load a PGM or 8-bit BMP as a square grayscale image, top row first."""
-    info, pixels = _parse(path)
-    if info.width != info.height:
+    pixels = _parse(path)
+    height, width = pixels.shape
+    if width != height:
         raise RasterFormatError(
-            f"image is {info.width}x{info.height}; the 2-D pipeline needs square input"
+            f"image is {width}x{height}; the 2-D pipeline needs square input"
         )
     return GrayImage(pixels)
 
@@ -208,11 +187,3 @@ def save_pgm(img, path, quantize: bool = False) -> None:
     h, w = out.shape
     payload = out.astype(np.uint8).tobytes()
     Path(path).write_bytes(b"P5\n%d %d\n255\n" % (w, h) + payload)
-
-
-def write_csv(curve, path) -> None:
-    """Emit a norm curve as `n,mu` rows, 12 significant digits."""
-    lines = ["n,mu"]
-    for n, mu in curve.points:
-        lines.append(f"{n},{mu:.12g}")
-    Path(path).write_text("\n".join(lines) + "\n")

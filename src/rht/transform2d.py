@@ -20,10 +20,6 @@ __all__ = [
     "GrayImage",
     "CoefficientGrid",
     "RoundTrip",
-    "temp_matrix",
-    "flip_cols",
-    "flip_rows",
-    "flip_both",
     "forward_2d",
     "weak_inverse_2d",
     "exact_inverse_2d",
@@ -94,27 +90,6 @@ def _ternary_sandwich(x: np.ndarray) -> np.ndarray:
     return k @ x @ k
 
 
-def temp_matrix(a) -> CoefficientGrid:
-    """T = K A K: the 1-D transform of every row, then of every column."""
-    return CoefficientGrid(_ternary_sandwich(_as_image(a).pixels))
-
-
-def flip_cols(t) -> CoefficientGrid:
-    t = _as_grid(t)
-    return CoefficientGrid(t.values[:, _reversal(t.order)])
-
-
-def flip_rows(t) -> CoefficientGrid:
-    t = _as_grid(t)
-    return CoefficientGrid(t.values[_reversal(t.order), :])
-
-
-def flip_both(t) -> CoefficientGrid:
-    t = _as_grid(t)
-    rev = _reversal(t.order)
-    return CoefficientGrid(t.values[np.ix_(rev, rev)])
-
-
 def _flip_combination(x: np.ndarray) -> np.ndarray:
     n = x.shape[0]
     rev = _reversal(n)
@@ -122,9 +97,8 @@ def _flip_combination(x: np.ndarray) -> np.ndarray:
 
 
 def forward_2d(a) -> CoefficientGrid:
-    """B = (T + flip_cols(T) + flip_rows(T) - flip_both(T)) / 2."""
-    a = _as_image(a)
-    return CoefficientGrid(_flip_combination(temp_matrix(a).values))
+    """B = (T + T_cols + T_rows - T_both) / 2 with T = K A K."""
+    return CoefficientGrid(_flip_combination(_ternary_sandwich(_as_image(a).pixels)))
 
 
 def weak_inverse_2d(b) -> GrayImage:

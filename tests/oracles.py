@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the package's own code paths: the 2-D pipeline
-oracle mirrors the published MATLAB listing line by line, and the
-rational inverse oracle is a plain Gauss-Jordan over Fractions.
+oracle mirrors the published MATLAB listing line by line, the matrix-power
+oracle multiplies the listing's dense matrix, and the rational inverse
+oracle is a plain Gauss-Jordan over Fractions.
 """
 
 import math
@@ -46,6 +47,21 @@ def matlab_twodrht(a: np.ndarray):
     rmse = np.sqrt(mse)
     psnr = np.inf if rmse == 0 else 20 * np.log10(255 / rmse)
     return b, aa, psnr
+
+
+def dense_power_traces(n: int, k: int) -> tuple:
+    """(||H**k||_F**2, tr(H**k)) from the dense k-th power of the listing's
+    rounded matrix.
+
+    Every partial sum of H**k is bounded by n**k, so the power is formed in
+    int64 while n**k < 2**63 and over Python ints beyond; the squares are
+    summed in Python ints.
+    """
+    h = matlab_rcas(n).astype(np.int64 if n**k < 2**63 else object)
+    power = h
+    for _ in range(k - 1):
+        power = power @ h
+    return int((power.astype(object) ** 2).sum()), int(np.trace(power))
 
 
 def fraction_inverse(m) -> tuple:

@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 from fractions import Fraction
@@ -15,15 +16,14 @@ from rht import (
     freundlich_fit,
     hadamard_permutation,
     intensity_diagram,
-    matrix_period,
     n_norm,
     norm_curve,
-    norm_curve_at,
-    quasi_equivalence,
     quasi_period_check,
     residual_square_sum,
     walsh_matrix,
 )
+from rht.analysis import _power_traces
+from oracles import dense_power_traces
 
 
 def mu_squared_by_fractions(n):
@@ -95,21 +95,19 @@ class TestNNorm:
 
 
 class TestMatrixPeriod:
-    def test_idempotent_has_period_one(self):
-        assert matrix_period(np.diag([1.0, 0.0, 1.0]), 16) == 1
+    """A has period k when A**(k+1) = A; for the invertible matrices here
+    that is A**k = I."""
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_symmetric_dht_is_an_involution(self, n):
         hs = build_dht_matrix(n, Normalization.SYMMETRIC)
-        assert matrix_period(hs, 16) == 2
+        np.testing.assert_allclose(hs @ hs, np.eye(n), atol=1e-12)
+        assert np.abs(hs - np.eye(n)).max() > 0.1  # period 2, not 1
 
     @pytest.mark.parametrize("n", [3, 5, 6, 7, 8])
     def test_scaled_rounded_matrix_has_no_period_up_to_sixteen(self, n):
-        hs = build_rht_matrix(n).entries / math.sqrt(n)
-        assert matrix_period(hs, 16) is None
-
-    def test_identity_period_one(self):
-        assert matrix_period(np.eye(3), 5) == 1
+        eps = Fraction(1, 10**9)
+        assert not any(quasi_period_check([n], k, eps).all_pass for k in range(1, 17))
 
 
 class TestExactCurve:
@@ -150,7 +148,7 @@ class TestExactCurve:
 
     def test_strided_and_sampled_curves(self):
         assert norm_curve(2, 10, stride=4).orders.tolist() == [2, 6, 10]
-        assert norm_curve_at([3, 8, 64]).orders.tolist() == [3, 8, 64]
+        assert norm_curve(3, 63, stride=60).orders.tolist() == [3, 63]
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):
@@ -183,7 +181,7 @@ class TestFreundlichFit:
 
     def test_exponent_negative_and_trend_decreasing_on_powers_of_two(self):
         powers = [2**k for k in range(3, 11)]  # 8 .. 1024
-        curve = norm_curve_at(powers)
+        curve = NormCurve(tuple((n, math.sqrt(exact_mu_squared(n))) for n in powers))
         fit = freundlich_fit(curve)
         assert fit.b < 0
         mus = curve.values
@@ -221,18 +219,47 @@ class TestQuasiPeriod:
             assert q > 10**18
             assert_quasi_period_pins(n, 6, q)
 
-    def test_odd_power_runs_the_float_comparator(self):
-        def cubed(n):
-            hs = build_rht_matrix(n).entries / math.sqrt(n)
-            return hs @ hs @ hs
+    def test_odd_power_traces_match_dense_power(self):
+        for k in (1, 3, 5):
+            for n in list(range(1, 65)) + [97, 199]:
+                assert _power_traces(n, k) == dense_power_traces(n, k), (n, k)
 
-        orders = [3, 5, 8, 17, 30]
-        generic = quasi_equivalence(cubed, np.eye, orders, 0.5)
-        rep = quasi_period_check(orders, 3, Fraction(1, 2))
-        assert rep.k == 3
-        assert rep.results == generic.results
-        assert rep.max_mu_order == generic.max_mu_order
-        assert rep.max_mu == pytest.approx(generic.max_mu, rel=1e-12)
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_odd_powers_match_dense_power(self, k):
+        # mu from the oracle's S and T in 60-digit decimals; the verdict must
+        # flip between eps a relative 1e-9 above and below it
+        ctx = decimal.Context(prec=60)
+        for n in range(2, 41):
+            s, t = dense_power_traces(n, k)
+            half_power = ctx.power(ctx.sqrt(decimal.Decimal(n)), k)
+            mu2 = ctx.divide(s + n ** (k + 1) - 2 * t * half_power, n ** (k + 2))
+            mu = Fraction(ctx.sqrt(mu2))
+            rep = quasi_period_check([n], k, mu * (1 + Fraction(1, 10**9)))
+            assert rep.all_pass and rep.max_mu == pytest.approx(float(mu), rel=1e-12)
+            assert not quasi_period_check([n], k, mu * (1 - Fraction(1, 10**9))).all_pass
+
+    def test_odd_power_verdicts_are_exact_at_ties(self):
+        # H_4**2 = 4 I gives mu(H_s**3 - I) = 1/2; H_2**2 = 2 I gives mu = 1
+        assert quasi_period_check([4], 3, Fraction(1, 2)).all_pass
+        assert not quasi_period_check([4], 3, Fraction(1, 2) - Fraction(1, 10**12)).all_pass
+        for k in (1, 3, 5):
+            rep = quasi_period_check([2], k, 1)
+            assert rep.all_pass and rep.max_mu == 1.0
+            assert not quasi_period_check([2], k, 1 - Fraction(1, 10**12)).all_pass
+
+    def test_odd_power_holds_no_square_matrix(self):
+        tracemalloc.start()
+        try:
+            quasi_period_check([1024], 3, Fraction(2, 9))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**21
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_empty_orders_rejected(self, k):
+        with pytest.raises(ValueError, match="orders must not be empty"):
+            quasi_period_check([], k, Fraction(2, 9))
 
     def test_first_power_is_not_quasi_identity(self):
         rep = quasi_period_check([8], 1, Fraction(2, 9))
@@ -241,23 +268,6 @@ class TestQuasiPeriod:
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
             quasi_period_check([4], 2, 0)
-
-    def test_generic_comparator_on_identical_families(self):
-        rep = quasi_equivalence(
-            lambda n: build_dht_matrix(n), lambda n: build_dht_matrix(n), [2, 5, 9], 1e-12
-        )
-        assert rep.all_pass and rep.max_mu == 0.0
-
-    def test_generic_comparator_agrees_with_exact_path(self):
-        def squared(n):
-            hs = build_rht_matrix(n).entries / math.sqrt(n)
-            return hs @ hs
-
-        orders = list(range(2, 33))
-        generic = quasi_equivalence(squared, np.eye, orders, 2 / 9)
-        exact = quasi_period_check(orders, 2, Fraction(2, 9))
-        assert [ok for _, ok in generic.results] == [ok for _, ok in exact.results]
-        assert generic.max_mu == pytest.approx(exact.max_mu, rel=1e-9)
 
 
 class TestHadamard:

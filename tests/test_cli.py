@@ -31,18 +31,16 @@ def test_public_names_are_unchanged():
     assert sorted(rht.__all__) == [
         "CoefficientGrid", "ColumnPermutation", "FastPlan", "FreundlichFit",
         "GrayImage", "NormCurve", "Normalization", "NotInvertible", "OpCount",
-        "QuasiPeriodReport", "RasterFile", "RasterFormatError", "RationalMatrix",
-        "RoundTrip", "ScaledTransform", "Spectrum", "TernaryMatrix", "__version__",
+        "QuasiPeriodReport", "RasterFormatError", "RationalMatrix", "RoundTrip",
+        "ScaledTransform", "Spectrum", "TernaryMatrix", "__version__",
         "apply_dht", "apply_direct", "build_dht_matrix", "build_rht_matrix", "cas",
         "count_model", "exact_inverse", "exact_inverse_2d", "exact_mu_squared",
-        "fast_rht", "flip_both", "flip_cols", "flip_rows", "forward_2d",
-        "fourier_estimate", "freundlich_fit", "hadamard_permutation",
-        "intensity_diagram", "invert_integer_matrix", "load_gray", "matrix_period",
-        "n_norm", "norm_curve", "norm_curve_at", "plan", "probe", "psnr",
-        "quasi_equivalence", "quasi_period_check", "reconstruction_error",
-        "residual_square_sum", "rounded_transform", "roundtrip_report", "save_pgm",
-        "temp_matrix", "walsh_matrix", "weak_inverse_2d", "weak_inverse_apply",
-        "write_csv",
+        "fast_rht", "forward_2d", "fourier_estimate", "freundlich_fit",
+        "hadamard_permutation", "intensity_diagram", "invert_integer_matrix",
+        "load_gray", "n_norm", "norm_curve", "plan", "psnr", "quasi_period_check",
+        "reconstruction_error", "residual_square_sum", "rounded_transform",
+        "roundtrip_report", "save_pgm", "walsh_matrix", "weak_inverse_2d",
+        "weak_inverse_apply",
     ]
     assert all(hasattr(rht, name) for name in rht.__all__)
 
@@ -285,6 +283,15 @@ class TestImage2d:
         env = dict(os.environ, RHT_IMAGE_DIR=str(tmp_path))
         cp = run_cli("image2d", "--in", "x.pgm", env=env)
         assert cp.returncode == 0
+
+    def test_image_past_dense_budget_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(rht.cli, "_DENSE_BYTES", 8 * 63**2)
+        img = tmp_path / "a.pgm"
+        self.write_pgm(img, np.zeros((64, 64)))
+        out = tmp_path / "back.pgm"
+        assert rht.cli.main(["image2d", "--in", str(img), "--out", str(out)]) == 2
+        assert "budget" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFastBench:

@@ -7,15 +7,11 @@ from hypothesis import strategies as st
 
 from rht import (
     GrayImage,
-    NormCurve,
     RasterFormatError,
     build_rht_matrix,
     intensity_diagram,
     load_gray,
-    norm_curve,
-    probe,
     save_pgm,
-    write_csv,
 )
 
 
@@ -65,12 +61,6 @@ class TestPgmLoad:
         p = tmp_path / "a.pgm"
         p.write_text("P2\n2 2\n64\n0 64 32 16\n")
         assert load_gray(p).pixels.max() == 64
-
-    def test_probe_reports_header(self, tmp_path):
-        p = tmp_path / "a.pgm"
-        p.write_bytes(b"P5\n4 4\n200\n" + bytes(16))
-        info = probe(p)
-        assert (info.format, info.width, info.height, info.maxval) == ("PGM-binary", 4, 4, 200)
 
 
 class TestPgmErrors:
@@ -144,11 +134,6 @@ class TestBmpLoad:
         p = tmp_path / "a.bmp"
         p.write_bytes(make_bmp([[255, 0], [0, 255]], palette=palette))
         assert load_gray(p).pixels.tolist() == [[7, 0], [0, 7]]
-
-    def test_probe(self, tmp_path):
-        p = tmp_path / "a.bmp"
-        p.write_bytes(make_bmp(np.zeros((4, 4), dtype=np.uint8)))
-        assert probe(p).format == "BMP-8bit-grayscale"
 
 
 class TestBmpErrors:
@@ -263,11 +248,10 @@ def raster_bytes(draw):
 def test_any_bytes_parse_or_raise_raster_format_error(tmp_path, blob):
     p = tmp_path / "fuzz.img"
     p.write_bytes(blob)
-    for read in (probe, load_gray):
-        try:
-            read(p)
-        except RasterFormatError:
-            pass
+    try:
+        load_gray(p)
+    except RasterFormatError:
+        pass
 
 
 class TestSavePgm:
@@ -303,30 +287,3 @@ class TestSavePgm:
         out = tmp_path / "p.pgm"
         save_pgm(img, out, quantize=True)
         assert set(np.unique(load_gray(out).pixels)) == {0.0, 128.0, 255.0}
-
-
-class TestCsv:
-    def test_golden_bytes_for_small_curve(self, tmp_path):
-        out = tmp_path / "c.csv"
-        write_csv(norm_curve(2, 4), out)
-        assert out.read_text() == "n,mu\n2,0\n3,0.222222222222\n4,0\n"
-
-    def test_empty_curve_is_header_only(self, tmp_path):
-        out = tmp_path / "c.csv"
-        write_csv(NormCurve(()), out)
-        assert out.read_text() == "n,mu\n"
-
-    def test_parse_back_round_trip(self, tmp_path):
-        curve = norm_curve(2, 12)
-        out = tmp_path / "c.csv"
-        write_csv(curve, out)
-        rows = out.read_text().strip().splitlines()[1:]
-        parsed = [(int(a), float(b)) for a, b in (r.split(",") for r in rows)]
-        for (n0, mu0), (n1, mu1) in zip(curve.points, parsed):
-            assert n0 == n1 and mu0 == pytest.approx(mu1, abs=1e-12)
-
-    def test_identical_input_identical_bytes(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(norm_curve(2, 9), a)
-        write_csv(norm_curve(2, 9), b)
-        assert a.read_bytes() == b.read_bytes()

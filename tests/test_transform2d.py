@@ -7,13 +7,9 @@ from rht import (
     CoefficientGrid,
     GrayImage,
     exact_inverse_2d,
-    flip_both,
-    flip_cols,
-    flip_rows,
     forward_2d,
     psnr,
     roundtrip_report,
-    temp_matrix,
     weak_inverse_2d,
 )
 from oracles import matlab_twodrht
@@ -22,50 +18,6 @@ from oracles import matlab_twodrht
 def random_image(n, seed):
     rng = np.random.default_rng(seed)
     return rng.integers(0, 256, (n, n)).astype(np.float64)
-
-
-class TestTempMatrix:
-    def test_zero_image(self):
-        assert (temp_matrix(np.zeros((3, 3))).values == 0).all()
-
-    def test_two_by_two_corner_impulse(self):
-        assert temp_matrix([[1.0, 0.0], [0.0, 0.0]]).values.tolist() == [[1, 1], [1, 1]]
-
-    def test_equals_dense_triple_product(self):
-        a = random_image(4, 0)
-        import rht
-
-        k = rht.build_rht_matrix(4).entries.astype(np.float64)
-        np.testing.assert_array_equal(temp_matrix(a).values, k @ a @ k)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            temp_matrix(np.zeros((2, 3)))
-
-
-class TestFlips:
-    def test_order_two_flips_are_identity(self):
-        g = CoefficientGrid([[1.0, 2.0], [3.0, 4.0]])
-        for f in (flip_cols, flip_rows, flip_both):
-            assert np.array_equal(f(g).values, g.values)
-
-    def test_column_order_at_four(self):
-        g = CoefficientGrid(np.arange(16.0).reshape(4, 4))
-        assert flip_cols(g).values[0].tolist() == [0.0, 3.0, 2.0, 1.0]
-
-    def test_row_zero_and_column_zero_fixed(self):
-        g = CoefficientGrid(np.arange(25.0).reshape(5, 5))
-        assert np.array_equal(flip_cols(g).values[:, 0], g.values[:, 0])
-        assert np.array_equal(flip_rows(g).values[0, :], g.values[0, :])
-
-    def test_flips_are_involutions(self):
-        g = CoefficientGrid(random_image(6, 1))
-        for f in (flip_cols, flip_rows, flip_both):
-            assert np.array_equal(f(f(g)).values, g.values)
-
-    def test_both_is_the_composition(self):
-        g = CoefficientGrid(random_image(5, 2))
-        assert np.array_equal(flip_both(g).values, flip_rows(flip_cols(g)).values)
 
 
 class TestForwardInverse:
