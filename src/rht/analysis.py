@@ -277,33 +277,31 @@ _ORDERINGS = ("natural", "dyadic", "sequency")
 def hadamard_permutation(n: int) -> Optional[ColumnPermutation]:
     """Match rounded-matrix columns onto a Hadamard matrix, zeros wild.
 
-    Each rounded column is a ternary pattern whose zeros match anything;
-    a bipartite assignment (not factorial search) places one rounded
-    column at every Hadamard column so all nonzero entries agree.  The
-    standard orderings are each tried and the match displacing the fewest
-    columns wins.  None means no ordering admits an assignment, which is
-    evidence against the quasi-Hadamard conjecture at this order.
+    Hadamard column k fits rounded column c when every nonzero of c
+    equals w[:, k].  On every accepted order and ordering each k fits at
+    most one c (a k fitting two raises AssertionError), so the match is
+    forced and needs no bipartite assignment: it exists when every k fits
+    a column and no column is fitted twice.  The standard orderings are
+    each tried and the match displacing the fewest columns wins.  None
+    means no ordering admits a match, which is evidence against the
+    quasi-Hadamard conjecture at this order.
     """
     if n < 1 or n & (n - 1):
         raise ValueError("Hadamard order must be a power of two")
     if n > 64:
         raise ValueError("matching is bounded to n <= 64")
-    from scipy.optimize import linear_sum_assignment  # slow import, needed only here
-
     r = build_rht_matrix(n).entries
     best = None
     for ordering in _ORDERINGS:
         w = walsh_matrix(n, ordering)
-        # conflict[k, c]: some row has a nonzero of column c differing from w[:, k]
         rt = r.T[None, :, :]  # (1, c, i)
         wt = w.T[:, None, :]  # (k, 1, i)
-        conflict = ((rt != 0) & (rt != wt)).any(axis=2)
-        big = float(n * n + 1)
-        cost = np.where(conflict, big, 0.0) + (1.0 - np.eye(n))
-        rows, cols = linear_sum_assignment(cost)
-        if cost[rows, cols].sum() >= big:
+        fits = ~((rt != 0) & (rt != wt)).any(axis=2)  # fits[k, c]
+        if (fits.sum(axis=1) > 1).any():
+            raise AssertionError(f"ambiguous Hadamard match at n={n}, ordering={ordering}")
+        mapping = tuple(int(c) for c in fits.argmax(axis=1))
+        if not fits.any(axis=1).all() or len(set(mapping)) < n:
             continue
-        mapping = tuple(int(c) for c in cols)
         displaced = int(sum(1 for k, c in enumerate(mapping) if k != c))
         if best is None or displaced < best.displaced:
             best = ColumnPermutation(mapping, ordering, displaced)

@@ -80,7 +80,7 @@ def _parse_pgm(data: bytes) -> np.ndarray:
             raise RasterFormatError(
                 f"PGM pixel data truncated: expected {count} bytes, found {len(raw)}"
             )
-        pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
+        pixels = np.frombuffer(raw, dtype=np.uint8)
     else:
         values = []
         for _ in range(count):
@@ -90,7 +90,9 @@ def _parse_pgm(data: bytes) -> np.ndarray:
                     f"PGM pixel data truncated: expected {count} samples, found {len(values)}"
                 )
             values.append(rd.integer("sample"))
-        pixels = np.array(values, dtype=np.float64)
+            if not 0 <= values[-1] <= maxval:
+                raise RasterFormatError(f"PGM sample {values[-1]} outside 0..maxval={maxval}")
+        pixels = np.array(values, dtype=np.uint8)
     if pixels.max(initial=0) > maxval:
         raise RasterFormatError(
             f"PGM sample value {int(pixels.max())} exceeds declared maxval {maxval}"
@@ -141,7 +143,7 @@ def _parse_bmp(data: bytes) -> np.ndarray:
         raise RasterFormatError(
             f"BMP pixel index {int(idx.max())} outside palette of {n_colors} colors"
         )
-    gray = b[idx].astype(np.float64)
+    gray = b[idx]
     if not top_down:
         gray = gray[::-1]  # stored bottom-up; row 0 of the result is the top
     return gray

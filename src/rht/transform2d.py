@@ -29,14 +29,13 @@ __all__ = [
 
 
 def _square_float(values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.array(values, dtype=np.float64)  # a copy: setflags below must not freeze the caller's
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{what} must be a square 2-D grid, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValueError(f"{what} must be non-empty")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains non-finite values")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 

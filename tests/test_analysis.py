@@ -1,6 +1,7 @@
 import decimal
 import math
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from rht import (
     residual_square_sum,
     walsh_matrix,
 )
+from rht import analysis
 from rht.analysis import _power_traces
 from oracles import dense_power_traces
 
@@ -293,18 +295,53 @@ class TestHadamard:
         with pytest.raises(ValueError):
             walsh_matrix(8, "kronecker")
 
+    @staticmethod
+    def pinned(n):
+        perm = hadamard_permutation(n)
+        return perm.ordering, perm.mapping, perm.displaced
+
+    def test_order_one_matches_itself(self):
+        assert self.pinned(1) == ("natural", (0,), 0)
+
     def test_order_two_matches_identically(self):
-        perm = hadamard_permutation(2)
-        assert perm.displaced == 0
-        assert perm.mapping == (0, 1)
+        assert self.pinned(2) == ("natural", (0, 1), 0)
 
     def test_order_four_needs_no_displacement(self):
-        assert hadamard_permutation(4).displaced == 0
+        # natural admits no match at 4, so dyadic is the first to give one
+        assert self.pinned(4) == ("dyadic", (0, 1, 2, 3), 0)
 
     def test_order_eight_is_the_single_transposition(self):
-        perm = hadamard_permutation(8)
-        assert perm.mapping == (0, 1, 2, 7, 4, 5, 6, 3)
-        assert perm.displaced == 2
+        assert self.pinned(8) == ("dyadic", (0, 1, 2, 7, 4, 5, 6, 3), 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("ordering", ["natural", "dyadic", "sequency"])
+    def test_each_hadamard_column_fits_at_most_one_rounded_column(self, n, ordering):
+        r = build_rht_matrix(n).entries
+        w = walsh_matrix(n, ordering)
+        for k in range(n):
+            fitting = []
+            for c in range(n):
+                nz = r[:, c] != 0
+                if np.array_equal(r[nz, c], w[nz, k]):
+                    fitting.append(c)
+            assert len(fitting) <= 1, (k, fitting)
+
+    def test_hadamard_column_fitting_two_rounded_columns_raises(self, monkeypatch):
+        # no two rounded columns agree on their common nonzeros at any accepted
+        # order, so only a doctored rounded matrix can make the match ambiguous
+        doubled = types.SimpleNamespace(entries=np.ones((2, 2), dtype=np.int64))
+        monkeypatch.setattr(analysis, "build_rht_matrix", lambda n: doubled)
+        with pytest.raises(AssertionError, match="n=2, ordering=natural"):
+            hadamard_permutation(2)
+
+    def test_two_equal_hadamard_columns_admit_no_match(self, monkeypatch):
+        def doubled(n, ordering="natural"):
+            w = walsh_matrix(n, ordering)
+            w[:, 1] = w[:, 0]
+            return w
+
+        monkeypatch.setattr(analysis, "walsh_matrix", doubled)
+        assert hadamard_permutation(8) is None
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_found_permutation_is_valid_on_nonzeros(self, n):

@@ -27,6 +27,21 @@ def test_import_leaves_scipy_unloaded():
     assert cp.stdout == "False\n", cp.stderr
 
 
+def test_hadamard_runs_without_scipy():
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from rht.cli import main; raise SystemExit(main(['hadamard', '--n', '8']))"
+    )
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == (
+        "columns 4 and 8 transposed (1-indexed)\n"
+        "ordering=dyadic\n"
+        "displaced=2\n"
+        "mapping=0,1,2,7,4,5,6,3\n"
+    )
+
+
 def test_public_names_are_unchanged():
     assert sorted(rht.__all__) == [
         "CoefficientGrid", "ColumnPermutation", "FastPlan", "FreundlichFit",

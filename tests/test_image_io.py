@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,11 @@ class TestPgmErrors:
     def test_sample_exceeding_maxval(self, tmp_path):
         with pytest.raises(RasterFormatError, match="maxval"):
             load_gray(self.make(tmp_path, "P2\n2 2\n100\n0 0 0 101"))
+
+    @pytest.mark.parametrize("sample", ["-1", "256", "99999999999999999999"])
+    def test_ascii_sample_outside_byte_range(self, tmp_path, sample):
+        with pytest.raises(RasterFormatError, match="maxval"):
+            load_gray(self.make(tmp_path, f"P2\n2 2\n255\n0 {sample} 0 0"))
 
     def test_non_square_rejected_for_pipeline(self, tmp_path):
         with pytest.raises(RasterFormatError, match="square"):
@@ -252,6 +258,23 @@ def test_any_bytes_parse_or_raise_raster_format_error(tmp_path, blob):
         load_gray(p)
     except RasterFormatError:
         pass
+
+
+@pytest.mark.parametrize("fmt", ["pgm", "bmp"])
+def test_megapixel_load_makes_one_float_copy(tmp_path, fmt):
+    n = 1024
+    pixels = (np.arange(n * n) % 251).astype(np.uint8).reshape(n, n)
+    path = tmp_path / f"big.{fmt}"
+    pgm = b"P5\n%d %d\n255\n" % (n, n) + pixels.tobytes()
+    path.write_bytes(pgm if fmt == "pgm" else make_bmp(pixels))
+    tracemalloc.start()
+    try:
+        img = load_gray(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(img.pixels, pixels)
+    assert peak < 12 * 2**20  # 8 MiB of float64 pixels plus the file; two copies were 16 MiB
 
 
 class TestSavePgm:
