@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _rounded_cas, _unit_orbits, build_rht_matrix
+from .core import _product_rows, _rounded_cas, _unit_orbits, build_rht_matrix
 from .transform2d import GrayImage
 
 __all__ = [
@@ -125,8 +125,9 @@ def _power_traces(n: int, k: int) -> tuple:
     T is one gather from the same rows.  Every partial sum of a row of H**j
     is bounded by n**j <= n**k, so the rows are formed in float64 while
     n**k < 2**53, in int64 while n**k < 2**63, and in Python ints beyond
-    that.  H is gathered 64 columns at a time from the rounded cas table, so
-    no n x n array is held.
+    that.  H is symmetric, so each product takes a row block of the product
+    index (core._product_rows), gathers those rows of H from the rounded cas
+    table and multiplies by their transpose; no n x n array is held.
     """
     if n < 1:
         raise ValueError("order must be positive")
@@ -134,11 +135,9 @@ def _power_traces(n: int, k: int) -> tuple:
     r = _rounded_cas(n).astype(dtype)
     divisors, orbit_sizes, orbit, unit = _unit_orbits(n)
     rows = divisors % n
-    m = np.arange(n)
-    power = r[np.multiply.outer(rows, m) % n]
+    power = r[np.multiply.outer(rows, np.arange(n)) % n]
     for _ in range(k - 1):
-        blocks = (r[np.multiply.outer(m, m[j : j + 64]) % n] for j in range(0, n, 64))
-        power = np.hstack([power @ h for h in blocks])
+        power = np.hstack([power @ r[block].T for block in _product_rows(n)])
     if dtype is np.float64:
         power = power.astype(np.int64)
     v2 = unit * unit % n if k % 2 else 1

@@ -279,7 +279,7 @@ def _cmd_image2d(args) -> int:
 
 def _cmd_fast_bench(args) -> int:
     p = plan(args.n)
-    dense = build_rht_matrix(args.n).entries.astype(np.int64)
+    dense = build_rht_matrix(args.n).entries
     rng = np.random.default_rng(args.seed)
     additions = None
     exact = True

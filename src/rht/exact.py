@@ -31,6 +31,7 @@ import numpy as np
 __all__ = ["NotInvertible", "RationalMatrix", "exact_inverse", "invert_integer_matrix"]
 
 _PRIME_CEILING = 1 << 20  # every prime used is below this
+_SIEVE_WINDOW = 2048
 _SLACK_BITS = 24  # headroom demanded before trusting a fast-path numerator
 # Entries per kernel call.  Blocks of this size, and one array per digit
 # rather than one (digits, n*n) array, keep every temporary under about
@@ -80,20 +81,28 @@ class RationalMatrix:
 
 
 def _primes_below(limit, skip=()):
-    """Primes descending from limit, by trial division (limit is small)."""
-    q = limit
-    while q > 3:
-        q -= 1
-        if q in skip or q % 2 == 0:
-            continue
-        r, is_prime = 3, True
-        while r * r <= q:
-            if q % r == 0:
-                is_prime = False
-                break
-            r += 2
-        if is_prime:
-            yield q
+    """Odd primes descending from limit - 1 to 3, less those in skip.
+
+    Sieved in descending windows of _SIEVE_WINDOW numbers by the primes up
+    to sqrt(limit); a window near 2**20 holds about 150 primes.
+    """
+    root = math.isqrt(limit)
+    base = np.ones(root + 1, dtype=bool)
+    base[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if base[p]:
+            base[p * p :: p] = False
+    base = np.flatnonzero(base).tolist()
+    hi = limit
+    while hi > 3:
+        lo = max(hi - _SIEVE_WINDOW, 3)
+        window = np.ones(hi - lo, dtype=bool)  # window[i] stands for lo + i
+        for p in base:
+            window[max(p * p, -(-lo // p) * p) - lo :: p] = False
+        for q in (lo + np.flatnonzero(window)[::-1]).tolist():
+            if q not in skip:
+                yield q
+        hi = lo
     raise RuntimeError("prime pool exhausted")
 
 

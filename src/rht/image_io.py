@@ -50,11 +50,16 @@ class _TokenReader:
         return self.data[start : self.pos]
 
     def integer(self, field: str) -> int:
+        # ASCII decimal digits only (bytes.isdigit is ASCII-only); int() alone
+        # would also take "+3" and "2_55".  A leading "-" parses, so that the
+        # range check of the field, which every negative value fails, names it.
         tok = self.token(field)
         try:
-            return int(tok)
-        except ValueError:
-            raise RasterFormatError(f"PGM {field} is not an integer: {tok!r}") from None
+            if tok.removeprefix(b"-").isdigit():
+                return int(tok)
+        except ValueError:  # more digits than int() converts
+            pass
+        raise RasterFormatError(f"PGM {field} is not an integer: {tok!r}")
 
 
 def _parse_pgm(data: bytes) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's own code paths: the 2-D pipeline
 oracle mirrors the published MATLAB listing line by line, the matrix-power
-oracle multiplies the listing's dense matrix, and the rational inverse
-oracle is a plain Gauss-Jordan over Fractions.
+oracle multiplies the listing's dense matrix, the rational inverse oracle
+is a plain Gauss-Jordan over Fractions, and the prime oracle is trial
+division.
 """
 
 import math
@@ -98,6 +99,19 @@ def fraction_inverse(m) -> tuple:
         for k in range(n):
             nums[i, k] = int(inv[i][k] * den)
     return nums, den
+
+
+def trial_division_primes(limit: int, count: int, skip=()) -> list:
+    """The first count odd primes below limit, descending, less those in
+    skip (fewer when they run out), each found by trial division by the odd
+    numbers up to its square root."""
+    out = []
+    for q in range(limit - 1, 2, -1):
+        if len(out) == count:
+            break
+        if q % 2 and q not in skip and all(q % r for r in range(3, math.isqrt(q) + 1, 2)):
+            out.append(q)
+    return out
 
 
 def brute_force_dft(v: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -78,7 +79,7 @@ def test_sixteen_point_matrix_matches_published_figure():
     assert np.array_equal(build_rht_matrix(16).entries, glyphs_to_matrix(H16_GLYPHS))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16, 31, 64, 100])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16, 31, 64, 65, 100, 130, 257])
 def test_matrix_equals_direct_entrywise_rounding(n):
     assert np.array_equal(build_rht_matrix(n).entries, direct_rounding(n))
 
@@ -117,6 +118,18 @@ def test_dht_matrix_symmetric_scaling_is_orthogonal():
     for n in (2, 3, 8, 17, 32):
         hs = build_dht_matrix(n, Normalization.SYMMETRIC)
         np.testing.assert_allclose(hs @ hs, np.eye(n), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 130, 257])
+def test_dht_matrix_equals_entrywise_cas(n):
+    # the unreduced angle 2*pi*i*k/n carries an error near i*k*2**-50
+    i = np.arange(n)
+    want = np.array([[math.cos(2 * math.pi * a * b / n) + math.sin(2 * math.pi * a * b / n)
+                      for b in i.tolist()] for a in i.tolist()])
+    np.testing.assert_allclose(build_dht_matrix(n), want, rtol=0, atol=1e-11)
+    np.testing.assert_array_equal(
+        build_dht_matrix(n, Normalization.SYMMETRIC), build_dht_matrix(n) / math.sqrt(n)
+    )
 
 
 def test_dht_unscaled_square_is_n_identity():
@@ -257,3 +270,27 @@ def test_unit_orbits_map_every_index_to_a_divisor_times_a_unit(n):
     assert np.array_equal(divisors[orbit] * unit % n, i)
     assert (np.gcd(unit, n) == 1).all()
     assert sizes.tolist() == np.bincount(orbit, minlength=len(divisors)).tolist()
+
+
+@pytest.mark.parametrize(
+    "n", list(range(1, 131)) + [255, 256, 257, 511, 512, 513, 1021, 1024]
+)
+def test_product_rows_are_the_product_index_mod_n(n):
+    # a block is updated in place when the generator advances, so copy it
+    blocks = [block.copy() for block in core._product_rows(n)]
+    assert [len(b) for b in blocks[:-1]] == [64] * (len(blocks) - 1)
+    assert all(b.dtype == np.int64 for b in blocks)
+    a = np.arange(n)
+    assert np.array_equal(np.concatenate(blocks), np.multiply.outer(a, a) % n)
+
+
+def test_rht_matrix_build_holds_no_square_index_array():
+    tracemalloc.start()
+    try:
+        build_rht_matrix(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 8 MiB int64 result and its int8 symmetry check; an n x n int64
+    # product index on top of them peaked at 18 MiB
+    assert peak < 12 * 2**20

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import rht.exact as exact
 from rht import NotInvertible, RationalMatrix, build_rht_matrix, exact_inverse, invert_integer_matrix
-from oracles import fraction_inverse
+from oracles import fraction_inverse, trial_division_primes
 
 # sha256(repr((denominator, numerators.tolist()))) of exact_inverse(n) as
 # computed by the earlier Python-int digit assembly and per-entry clearing;
@@ -334,3 +334,16 @@ def test_divisor_column_certificate_rejects_one_corrupted_numerator(n):
         bad = cols.copy()
         bad[int(rng.integers(n)), k] += 1
         assert not exact._verify_product(h, bad, inv.denominator, e, skip=0)
+
+
+@pytest.mark.parametrize(
+    "limit, skip",
+    [(1 << 20, {1048573, 1048559, 1046527}), (4099, {4093, 4091}), (60, ()), (4, ()), (3, ())],
+)
+def test_sieved_primes_equal_trial_division(limit, skip):
+    want = trial_division_primes(limit, 400, skip)
+    got = exact._primes_below(limit, skip=skip)
+    assert [next(got) for _ in want] == want
+    if len(want) < 400:  # the pool ran out
+        with pytest.raises(RuntimeError, match="exhausted"):
+            next(got)

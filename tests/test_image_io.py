@@ -109,6 +109,16 @@ class TestPgmErrors:
         with pytest.raises(RasterFormatError, match="maxval"):
             load_gray(self.make(tmp_path, f"P2\n2 2\n255\n0 {sample} 0 0"))
 
+    # U+0663 is an Arabic-Indic 3; 5000 digits are past int()'s conversion limit
+    @pytest.mark.parametrize(
+        "bad", ["2_55", "+3", "1_0", "\u0663", pytest.param("9" * 5000, id="5000-digits")]
+    )
+    @pytest.mark.parametrize("field", ["maxval", "sample"])
+    def test_integers_are_ascii_digits_only(self, tmp_path, bad, field):
+        text = {"maxval": "P2\n2 2\n{}\n0 0 0 0", "sample": "P2\n2 2\n255\n0 {} 0 0"}[field]
+        with pytest.raises(RasterFormatError, match=f"{field} is not an integer"):
+            load_gray(self.make(tmp_path, text.format(bad)))
+
     def test_non_square_rejected_for_pipeline(self, tmp_path):
         with pytest.raises(RasterFormatError, match="square"):
             load_gray(self.make(tmp_path, "P2\n3 2\n255\n1 2 3 4 5 6"))
