@@ -132,7 +132,9 @@ def _cmd_gen_matrix(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     v = _read_signal(args.signal, args.n)
-    _within_dense_budget(len(v))  # before either n x n matrix is built
+    # before the plan, whose kernels hold up to n x n entries at odd n, and
+    # the n x n DHT matrix of --dht are built
+    _within_dense_budget(len(v))
     t = rounded_transform(len(v), Normalization.UNSCALED)
     rht_coeffs = apply_direct(t, v).coefficients
     lines = []

@@ -82,34 +82,45 @@ def _rounded_cas(n: int) -> np.ndarray:
 _ROW_BLOCK = 64
 
 
-def _product_rows(n: int):
+def _product_rows(n: int, odd: bool = False):
     """Row blocks of the product index i*j mod n as int64 arrays.
 
     Yields rows 0..63, 64..127, ... (the last block is shorter when 64 does
-    not divide n) over all columns 0..n-1.  The first block is reduced with
-    one division per entry; each later one is the block before plus
-    64*j mod n, folded back by one subtraction of n, so no other entry costs
-    a division, and every value stays below 2n.  The update is in place (a
-    fresh block per step was 1.15x slower on the same host), so a block is
-    only valid until the generator advances: use or copy it first.
+    not divide the row count) over all columns 0..n-1.  With odd=True (n
+    even) the rows are i = 1, 3, ..., n-1 and the columns 0..n/2-1: the odd
+    block of the even/odd split.  The first block is reduced with one
+    division per entry; each later one is the block before plus
+    64*stride*j mod n, folded back below n, so no other entry costs a
+    division.  The fold is a minimum over the block read as unsigned, where
+    subtracting n wraps every value below n past 2**63: one pass fewer than
+    subtracting n * (block >= n).  The update is in place (a fresh block
+    per step was 1.15x slower on the same host), so a block is only valid
+    until the generator advances: use or copy it first.
     """
-    j = np.arange(n, dtype=np.int64)
-    block = np.multiply.outer(j[:_ROW_BLOCK], j) % n
-    step = _ROW_BLOCK * j % n
-    for start in range(0, n, _ROW_BLOCK):
-        yield block[: n - start]
-        block += step
-        block -= n * (block >= n)
+    if odd:
+        i, j = np.arange(1, n, 2, dtype=np.int64), np.arange(n // 2, dtype=np.int64)
+    else:
+        i = j = np.arange(n, dtype=np.int64)
+    block = np.multiply.outer(i[:_ROW_BLOCK], j) % n
+    step = _ROW_BLOCK * (2 if odd else 1) * j % n
+    for start in range(0, len(i), _ROW_BLOCK):
+        if start:
+            block += step
+            unsigned = block.view(np.uint64)
+            np.minimum(unsigned, unsigned - n, out=unsigned)
+        yield block[: len(i) - start]
 
 
-def _product_table(table: np.ndarray) -> np.ndarray:
-    """The n x n matrix table[i*j mod n] for a length-n table, filled one
-    row block at a time so no n x n index array is held."""
+def _product_table(table: np.ndarray, odd: bool = False) -> np.ndarray:
+    """The n x n matrix table[i*j mod n] for a length-n table, or with
+    odd=True its odd block (_product_rows), filled one row block at a time
+    so no square index array is held."""
     n = len(table)
-    out = np.empty((n, n), dtype=table.dtype)
+    size = n // 2 if odd else n
+    out = np.empty((size, size), dtype=table.dtype)
     start = 0
-    for block in _product_rows(n):
-        out[start : start + len(block)] = table[block]
+    for block in _product_rows(n, odd):
+        out[start : start + len(block)] = table.take(block)
         start += len(block)
     return out
 
@@ -135,23 +146,136 @@ def _unit_orbits(n: int) -> tuple:
     return divisors, sizes[divisors], orbit, unit
 
 
-def _row_sum_plan(block: np.ndarray) -> tuple:
+def _split_orders(n: int) -> tuple:
+    """The even orders n, n/2, ... whose odd blocks the add-only plan of
+    order n holds, and the odd part q of n, whose whole q x q block it
+    holds at the bottom."""
+    levels = []
+    while n % 2 == 0:
+        levels.append(n)
+        n //= 2
+    return levels, n
+
+
+def _kernel_counts(r: np.ndarray, odd: bool) -> np.ndarray:
+    """Nonzeros per row of the block r[i*j mod n], r the order-n rounded cas
+    table, over the rows and columns _product_rows(n, odd) gives.
+
+    With g = gcd(i, n), i*j mod n runs over the multiples of g, each g
+    times, as j runs over 0..n-1, so the full row holds
+    g * count_nonzero(r[::g]) nonzeros.  An odd block row i keeps the
+    columns j < n/2, which hold half of them: i*(j + n/2) = i*j + n/2 mod n
+    for odd i, and r[x + n/2] = -r[x].  O(n) work; no block is formed.
+    """
+    n = len(r)
+    g = np.gcd(np.arange(1, n, 2) if odd else np.arange(n), n)
+    per_divisor = np.zeros(n + 1, dtype=np.int64)
+    for d in np.flatnonzero(np.bincount(g)).tolist():
+        per_divisor[d] = np.count_nonzero(r[::d])
+    counts = g * per_divisor[g]
+    return counts // 2 if odd else counts
+
+
+def _row_sum_plan(block: np.ndarray, counts: np.ndarray) -> tuple:
     """Signed column indices (j for a +1, width + j for a -1) and row starts
-    of a ternary block, so row i of block @ x sums concatenate([x, -x]) over
-    cols[starts[i]:starts[i + 1]].  Every row needs a nonzero (reduceat
-    cannot sum an empty segment); column 0 of every block built here is 1."""
+    of a ternary block with the given nonzeros per row, so row i of
+    block @ x sums concatenate([x, -x]) over cols[starts[i]:starts[i + 1]].
+
+    Rows are selected 64 at a time straight into a column array sized by
+    the counts; a row block whose nonzeros disagree with them fails the
+    slice assignment.
+    """
+    if not counts.all():
+        raise AssertionError("empty kernel row: reduceat cannot sum it")
+    ends = np.cumsum(counts)
+    cols = np.empty(ends[-1], dtype=np.intp)
+    # 16-bit column indices while 2 * width - 1 fits (np.where on int8
+    # blocks was about 2x slower into int64 at width 2048, and 3x slower
+    # into uint8 at width 128); the assignment widens them to intp
     width = block.shape[1]
-    k = np.arange(width)
-    cols = np.where(block < 0, k + width, k)[block != 0]
-    starts = np.zeros(len(block), dtype=np.intp)
-    np.cumsum(np.count_nonzero(block, axis=1)[:-1], out=starts[1:])
-    return cols, starts
+    j = np.arange(width, dtype=np.uint16 if width <= 2**15 else np.intp)
+    negative = j + width
+    lo = 0
+    for start in range(0, len(block), _ROW_BLOCK):
+        rows = block[start : start + _ROW_BLOCK]
+        hi = ends[start + len(rows) - 1]
+        cols[lo:hi] = np.where(rows < 0, negative, j)[rows != 0]
+        lo = hi
+    return cols, ends - counts
 
 
 def _row_sums(rows: tuple, x: np.ndarray) -> np.ndarray:
-    """block @ x from a _row_sum_plan, using additions and sign flips only."""
+    """kernel @ x from a _row_sum_plan, using additions and sign flips only."""
     cols, starts = rows
-    return np.add.reduceat(np.concatenate([x, -x])[cols], starts)
+    return np.add.reduceat(np.concatenate([x, -x]).take(cols), starts)
+
+
+class FastPlan:
+    """Add-only plan of the order-n rounded transform, for every n >= 1.
+
+    The rounded matrix keeps the even/odd row identities of the exact
+    kernel, because rounding commutes with negation: for even n,
+
+        h(2m, k)       = h_{n/2}(m, k mod n/2)
+        h(2m+1, k+n/2) = -h(2m+1, k)
+
+    so even outputs are the half-order transform of (low + high) and odd
+    outputs are the odd block G[m, k] = h(2m+1, k), k < n/2, applied to
+    (low - high).  The plan peels factors of two this way down to the odd
+    part q of n, and holds the signed row-sum kernel of G at each level and
+    of the whole q x q matrix at the bottom (_split_orders).  Immutable
+    after construction and shareable.
+    """
+
+    __slots__ = ("order", "_levels", "_base")
+
+    def __init__(self, order: int):
+        if order < 1:
+            raise ValueError(f"order must be positive, got {order}")
+        self.order = order
+        # The odd block of a level m is the first m/2 rows of the odd block
+        # of order n at its columns k*n/m, since both hold r_m[(2a+1)*k mod m]
+        # = r[(2a+1)*k*n/m mod n].  So one gather serves every level.  The
+        # tables r_m are r[::n/m]: the same angles, which the tie guard on r
+        # keeps clear of the rounding tie.
+        r = _rounded_cas(order)
+        levels, q = _split_orders(order)
+        odd_block = _product_table(r.astype(np.int8), odd=True) if levels else None
+        self._levels = tuple(
+            _row_sum_plan(
+                odd_block[: m // 2, :: order // m], _kernel_counts(r[:: order // m], True)
+            )
+            for m in levels
+        )
+        base = r[:: order // q]
+        self._base = _row_sum_plan(
+            _product_table(base.astype(np.int8)), _kernel_counts(base, False)
+        )
+
+
+def _run_plan(p: FastPlan, v: np.ndarray) -> tuple:
+    """H @ v through the plan, and the number of additions it took.
+
+    The butterflies run down to the odd part, whose kernel is applied
+    there; the odd-block kernels are applied on the way back up, and the
+    two halves interleave (even, odd).  A butterfly stage of order m costs m
+    additions, a kernel row with z nonzeros z - 1 after a signed copy.
+    """
+    additions = 0
+    diffs = []
+    for _ in p._levels:
+        half = len(v) // 2
+        diffs.append(v[:half] - v[half:])
+        v = v[:half] + v[half:]
+        additions += 2 * half
+    out = _row_sums(p._base, v)
+    additions += len(p._base[0]) - len(v)
+    for rows, d in zip(reversed(p._levels), reversed(diffs)):
+        even, out = out, np.empty(2 * len(out))
+        out[0::2] = even
+        out[1::2] = _row_sums(rows, d)
+        additions += len(rows[0]) - len(rows[1])
+    return out, additions
 
 
 @dataclass(frozen=True)
@@ -202,17 +326,14 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class ScaledTransform:
-    """A ternary transform matrix bound to a normalization tag."""
+    """The add-only plan of the order-n rounded transform bound to a
+    normalization tag.  No n x n matrix is held."""
 
-    matrix: TernaryMatrix
+    order: int
     normalization: Normalization
 
     def __post_init__(self):
-        object.__setattr__(self, "_rows", _row_sum_plan(self.matrix.entries))
-
-    @property
-    def order(self) -> int:
-        return self.matrix.order
+        object.__setattr__(self, "_plan", FastPlan(self.order))
 
 
 def build_dht_matrix(
@@ -249,8 +370,8 @@ def build_rht_matrix(n: int) -> TernaryMatrix:
 
 
 def rounded_transform(n: int, normalization: Normalization) -> ScaledTransform:
-    """Convenience constructor pairing build_rht_matrix with a tag."""
-    return ScaledTransform(build_rht_matrix(n), normalization)
+    """The order-n rounded transform under a normalization tag; n >= 1."""
+    return ScaledTransform(n, normalization)
 
 
 def _as_signal(v, n: int) -> np.ndarray:
@@ -265,13 +386,14 @@ def _as_signal(v, n: int) -> np.ndarray:
 def apply_direct(t: ScaledTransform, v) -> Spectrum:
     """Forward rounded transform of a signal.
 
-    Each coefficient is a row sum of +v[j] and -v[j] terms gathered by the
-    transform's signed column indices, so only additions are taken; the
-    result is exact for integer v while n * max|v| < 2**53.  In SYMMETRIC
-    mode it is scaled by n**-0.5 once.
+    The transform's plan (FastPlan) takes butterfly sums and differences
+    and row sums of +x[j] and -x[j] terms, so only additions are taken.
+    Every partial sum is bounded by n * max|v|, so the result is exact for
+    integer v while n * max|v| < 2**53.  In SYMMETRIC mode it is scaled by
+    n**-0.5 once.
     """
     v = _as_signal(v, t.order)
-    coeffs = _row_sums(t._rows, v)
+    coeffs = _run_plan(t._plan, v)[0]
     if t.normalization is Normalization.SYMMETRIC:
         coeffs = coeffs / math.sqrt(t.order)
     return Spectrum(coeffs, t.normalization)
@@ -316,7 +438,7 @@ def reconstruction_error(t: ScaledTransform, v) -> np.ndarray:
     if t.normalization is not Normalization.SYMMETRIC:
         raise ValueError("reconstruction error is defined for SYMMETRIC mode")
     v = _as_signal(v, t.order)
-    return _row_sums(t._rows, _row_sums(t._rows, v)) / t.order - v
+    return _run_plan(t._plan, _run_plan(t._plan, v)[0])[0] / t.order - v
 
 
 def fourier_estimate(s: Spectrum) -> np.ndarray:

@@ -323,5 +323,12 @@ class TestFastBench:
         b = run_cli("fast-bench", "--n", "32", "--trials", "3")
         assert a.stdout == b.stdout
 
-    def test_non_power_of_two_rejected(self):
-        assert run_cli("fast-bench", "--n", "12").returncode == 3
+    def test_non_power_of_two_order_runs(self):
+        cp = run_cli("fast-bench", "--n", "12")
+        assert cp.returncode == 0
+        assert "oracle-check EXACT" in cp.stdout
+        fields = dict(line.split("=") for line in cp.stdout.splitlines() if "=" in line)
+        assert fields["additions"] == fields["model_additions"]
+
+    def test_order_zero_is_usage_error(self):
+        assert run_cli("fast-bench", "--n", "0").returncode == 2

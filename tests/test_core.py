@@ -152,7 +152,7 @@ def test_apply_direct_matches_dense_product():
         t = rounded_transform(n, Normalization.UNSCALED)
         v = rng.integers(-99, 100, n).astype(np.float64)
         got = apply_direct(t, v)
-        want = t.matrix.entries.astype(np.float64) @ v
+        want = build_rht_matrix(n).entries.astype(np.float64) @ v
         assert np.array_equal(got.coefficients, want)
         assert got.normalization is Normalization.UNSCALED
 
@@ -193,7 +193,7 @@ def test_weak_inverse_roundtrip_error_small_but_nonzero_at_eight():
     t = rounded_transform(8, Normalization.SYMMETRIC)
     back = weak_inverse_apply(t, apply_direct(t, v))
     err = np.abs(back - v).max()
-    e = t.matrix.entries.astype(np.float64)
+    e = build_rht_matrix(8).entries.astype(np.float64)
     defect = np.linalg.norm(e @ e / 8.0 - np.eye(8))  # Frobenius bound
     assert 0 < err <= defect * np.linalg.norm(v)
 
@@ -203,7 +203,7 @@ def test_reconstruction_error_on_second_basis_vector_order_three():
     err = reconstruction_error(t, [0.0, 1.0, 0.0])
     np.testing.assert_allclose(err, [0.0, -1 / 3, 1 / 3], atol=1e-15)
     # the same vector in exact rationals, straight from the integer square
-    e = t.matrix.entries.astype(object)
+    e = build_rht_matrix(3).entries.astype(object)
     col = (e @ e)[:, 1]
     exact = [Fraction(int(c), 3) - int(k == 1) for k, c in enumerate(col)]
     assert exact == [Fraction(0), Fraction(-1, 3), Fraction(1, 3)]
@@ -214,7 +214,7 @@ def test_reconstruction_error_on_second_basis_vector_order_three():
 def test_apply_direct_equals_dense_integer_product(data, n):
     v = data.draw(arrays(np.int64, n, elements=st.integers(-(2**31), 2**31)))
     t = rounded_transform(n, Normalization.UNSCALED)
-    dense = (t.matrix.entries @ v).astype(np.float64)
+    dense = (build_rht_matrix(n).entries @ v).astype(np.float64)
     assert np.array_equal(apply_direct(t, v).coefficients, dense)
 
 
@@ -224,7 +224,7 @@ def test_reconstruction_error_equals_integer_square(data, n):
     # n**2 * 2**36 < 2**53 keeps every partial sum exact on both sides
     v = data.draw(arrays(np.int64, n, elements=st.integers(-(2**36), 2**36)))
     t = rounded_transform(n, Normalization.SYMMETRIC)
-    e = t.matrix.entries
+    e = build_rht_matrix(n).entries
     expected = ((e @ e) @ v).astype(np.float64) / n - v
     assert np.array_equal(reconstruction_error(t, v), expected)
 
@@ -240,9 +240,8 @@ def test_reconstruction_error_zero_at_involution_orders():
 def test_spectrum_len_and_immutability():
     s = Spectrum(np.arange(4.0), Normalization.UNSCALED)
     assert len(s) == 4
-    t = rounded_transform(3, Normalization.UNSCALED)
     with pytest.raises((ValueError, AttributeError)):
-        t.matrix.entries[0, 0] = 5
+        build_rht_matrix(3).entries[0, 0] = 5
 
 
 def test_fourier_estimate_matches_brute_force_dft():
@@ -294,3 +293,15 @@ def test_rht_matrix_build_holds_no_square_index_array():
     # the 8 MiB int64 result and its int8 symmetry check; an n x n int64
     # product index on top of them peaked at 18 MiB
     assert peak < 12 * 2**20
+
+
+def test_rounded_transform_holds_no_square_matrix():
+    tracemalloc.start()
+    try:
+        rounded_transform(1000, Normalization.SYMMETRIC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the plan of 1000 = 8 * 125 peaks near 2.4 MiB; the n x n int64
+    # matrix alone would be 7.6 MiB, and building it peaked at 22 MiB
+    assert peak < 4 * 2**20

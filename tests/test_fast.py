@@ -102,12 +102,52 @@ def test_plan_is_reusable():
     assert np.array_equal(a.coefficients, b.coefficients)
 
 
-def test_non_power_of_two_orders_rejected():
-    for n in (0, 3, 6, 12, 100):
+def test_every_positive_order_accepted_and_others_rejected():
+    for n in (3, 6, 12, 100):
+        assert plan(n).order == n
+        assert count_model(n).additions > 0
+    for n in (0, -1, -4):
         with pytest.raises(ValueError):
             plan(n)
         with pytest.raises(ValueError):
             count_model(n)
+
+
+def _assert_fast_direct_dense_agree(n, v):
+    dense = build_rht_matrix(n).entries @ v  # int64, exact
+    fast, ops = fast_rht(plan(n), v)
+    direct = apply_direct(rounded_transform(n, Normalization.UNSCALED), v)
+    assert np.array_equal(fast.coefficients, dense.astype(np.float64)), n
+    assert np.array_equal(direct.coefficients, dense.astype(np.float64)), n
+    assert ops.multiplications == 0
+
+
+@settings(deadline=None, max_examples=3)
+@given(seed=st.integers(0, 2**32 - 1), bound=st.sampled_from([1, 255, 2**31]))
+def test_fast_direct_and_dense_products_agree_at_every_order_to_300(seed, bound):
+    # n * 2**31 < 2**53 keeps every partial sum exact
+    rng = np.random.default_rng(seed)
+    for n in range(1, 301):
+        _assert_fast_direct_dense_agree(n, rng.integers(-bound, bound + 1, n))
+
+
+@pytest.mark.parametrize("n", [1000, 1020, 1022, 2046, 3000, 4094, 4096])
+def test_fast_direct_and_dense_products_agree_at_sampled_orders(n):
+    rng = np.random.default_rng(n)
+    _assert_fast_direct_dense_agree(n, rng.integers(-(2**31), 2**31 + 1, n))
+
+
+def test_measured_counts_match_model_at_every_order_to_300():
+    for n in range(1, 301):
+        _, ops = fast_rht(plan(n), np.zeros(n))
+        assert ops == count_model(n), n
+
+
+def test_even_orders_take_fewer_additions_than_the_direct_product():
+    # the direct product adds nonzeros - 1 per row; at n = 2 both take 2
+    for n in range(4, 301, 2):
+        direct = int(np.count_nonzero(build_rht_matrix(n).entries)) - n
+        assert count_model(n).additions < direct, n
 
 
 def test_wrong_length_input_rejected():
