@@ -21,7 +21,7 @@ from . import analysis, image_io
 from .core import Normalization, apply_dht, apply_direct, build_dht_matrix
 from .core import build_rht_matrix, rounded_transform
 from .fast import count_model, fast_rht, plan
-from .transform2d import roundtrip_report
+from .transform2d import GrayImage, roundtrip_report
 
 USAGE_ERROR, PARSE_ERROR, CHECK_FAILED = 2, 3, 4
 _DENSE_BYTES = 1 << 30  # largest n x n array of 8-byte entries a command may build
@@ -262,12 +262,14 @@ def _cmd_image2d(args) -> int:
     if not in_path.exists() and "RHT_IMAGE_DIR" in os.environ:
         in_path = Path(os.environ["RHT_IMAGE_DIR"]) / args.infile
     try:
-        image = image_io.load_gray(in_path)
+        order, decode = image_io._open(in_path)
+        # from the header, before a sample is decoded or the n x n sandwich built
+        _within_dense_budget(order)
+        image = GrayImage(decode())
     except OSError as e:
         raise _ParseFailure(f"cannot read image: {e}") from None
     except ValueError as e:
         raise _ParseFailure(str(e)) from None
-    _within_dense_budget(image.order)  # before the n x n sandwich is built
     print(f"image2d: {in_path} is {image.order}x{image.order}", file=sys.stderr)
     report = roundtrip_report(image)
     if args.coeffs:

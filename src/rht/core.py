@@ -82,32 +82,40 @@ def _rounded_cas(n: int) -> np.ndarray:
 _ROW_BLOCK = 64
 
 
-def _product_rows(n: int, odd: bool = False):
+def _product_rows(n: int, mode: str = "full"):
     """Row blocks of the product index i*j mod n as int64 arrays.
 
-    Yields rows 0..63, 64..127, ... (the last block is shorter when 64 does
-    not divide the row count) over all columns 0..n-1.  With odd=True (n
-    even) the rows are i = 1, 3, ..., n-1 and the columns 0..n/2-1: the odd
-    block of the even/odd split.  The first block is reduced with one
-    division per entry; each later one is the block before plus
-    64*stride*j mod n, folded back below n, so no other entry costs a
-    division.  The fold is a minimum over the block read as unsigned, where
-    subtracting n wraps every value below n past 2**63: one pass fewer than
-    subtracting n * (block >= n).  The update is in place (a fresh block
-    per step was 1.15x slower on the same host), so a block is only valid
-    until the generator advances: use or copy it first.
+    Yields rows 0..63, 64..127, ... of the mode's rows (the last block is
+    shorter when 64 does not divide their count) over all of its columns:
+      full:   rows and columns 0..n-1;
+      odd:    (n even) rows i = 1, 3, ..., n-1 and columns 0..n/2-1, the
+              odd block of the even/odd split;
+      paired: rows and columns 0..n//2, one column of each pair
+              (j, n-j mod n).
+    The first block is reduced with one division per entry; each later one
+    is the block before plus 64*stride*j mod n, folded back below n, so no
+    other entry costs a division.  The fold is a minimum over the block
+    read as unsigned, where subtracting n wraps every value below n past
+    2**63: one pass fewer than subtracting n * (block >= n).  The update is
+    in place (a fresh block per step was 1.15x slower on the same host), so
+    a block is only valid until the generator advances: use or copy it
+    first.
     """
-    if odd:
+    if mode == "odd":
         i, j = np.arange(1, n, 2, dtype=np.int64), np.arange(n // 2, dtype=np.int64)
+    elif mode in ("full", "paired"):
+        i = j = np.arange(n if mode == "full" else n // 2 + 1, dtype=np.int64)
     else:
-        i = j = np.arange(n, dtype=np.int64)
+        raise ValueError(f"unknown product index mode {mode!r}")
     block = np.multiply.outer(i[:_ROW_BLOCK], j) % n
-    step = _ROW_BLOCK * (2 if odd else 1) * j % n
-    for start in range(0, len(i), _ROW_BLOCK):
-        if start:
-            block += step
-            unsigned = block.view(np.uint64)
-            np.minimum(unsigned, unsigned - n, out=unsigned)
+    yield block
+    if len(i) <= _ROW_BLOCK:
+        return
+    step = _ROW_BLOCK * (2 if mode == "odd" else 1) * j % n
+    for start in range(_ROW_BLOCK, len(i), _ROW_BLOCK):
+        block += step
+        unsigned = block.view(np.uint64)
+        np.minimum(unsigned, unsigned - n, out=unsigned)
         yield block[: len(i) - start]
 
 
@@ -119,7 +127,7 @@ def _product_table(table: np.ndarray, odd: bool = False) -> np.ndarray:
     size = n // 2 if odd else n
     out = np.empty((size, size), dtype=table.dtype)
     start = 0
-    for block in _product_rows(n, odd):
+    for block in _product_rows(n, "odd" if odd else "full"):
         out[start : start + len(block)] = table.take(block)
         start += len(block)
     return out
@@ -159,7 +167,7 @@ def _split_orders(n: int) -> tuple:
 
 def _kernel_counts(r: np.ndarray, odd: bool) -> np.ndarray:
     """Nonzeros per row of the block r[i*j mod n], r the order-n rounded cas
-    table, over the rows and columns _product_rows(n, odd) gives.
+    table, over the rows and columns of the full or odd _product_rows mode.
 
     With g = gcd(i, n), i*j mod n runs over the multiples of g, each g
     times, as j runs over 0..n-1, so the full row holds

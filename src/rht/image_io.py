@@ -62,7 +62,8 @@ class _TokenReader:
         raise RasterFormatError(f"PGM {field} is not an integer: {tok!r}")
 
 
-def _parse_pgm(data: bytes) -> np.ndarray:
+def _parse_pgm(data: bytes) -> tuple:
+    """(width, height, decode) of a PGM; decode() reads the samples."""
     rd = _TokenReader(data)
     magic = rd.token("magic")
     if magic not in (b"P2", b"P5"):
@@ -77,35 +78,40 @@ def _parse_pgm(data: bytes) -> np.ndarray:
     if maxval > 255:
         raise RasterFormatError(f"PGM maxval {maxval} exceeds 255 (8-bit only)")
     count = width * height
-    if magic == b"P5":
-        # exactly one separator byte between maxval and the raw payload
-        rd.pos += 1
-        raw = data[rd.pos : rd.pos + count]
-        if len(raw) < count:
-            raise RasterFormatError(
-                f"PGM pixel data truncated: expected {count} bytes, found {len(raw)}"
-            )
-        pixels = np.frombuffer(raw, dtype=np.uint8)
-    else:
-        values = []
-        for _ in range(count):
-            rd._skip_separators()
-            if rd.pos >= len(rd.data):
+
+    def decode() -> np.ndarray:
+        if magic == b"P5":
+            # exactly one separator byte between maxval and the raw payload
+            start = rd.pos + 1
+            raw = data[start : start + count]
+            if len(raw) < count:
                 raise RasterFormatError(
-                    f"PGM pixel data truncated: expected {count} samples, found {len(values)}"
+                    f"PGM pixel data truncated: expected {count} bytes, found {len(raw)}"
                 )
-            values.append(rd.integer("sample"))
-            if not 0 <= values[-1] <= maxval:
-                raise RasterFormatError(f"PGM sample {values[-1]} outside 0..maxval={maxval}")
-        pixels = np.array(values, dtype=np.uint8)
-    if pixels.max(initial=0) > maxval:
-        raise RasterFormatError(
-            f"PGM sample value {int(pixels.max())} exceeds declared maxval {maxval}"
-        )
-    return pixels.reshape(height, width)
+            pixels = np.frombuffer(raw, dtype=np.uint8)
+        else:
+            values = []
+            for _ in range(count):
+                rd._skip_separators()
+                if rd.pos >= len(rd.data):
+                    raise RasterFormatError(
+                        f"PGM pixel data truncated: expected {count} samples, found {len(values)}"
+                    )
+                values.append(rd.integer("sample"))
+                if not 0 <= values[-1] <= maxval:
+                    raise RasterFormatError(f"PGM sample {values[-1]} outside 0..maxval={maxval}")
+            pixels = np.array(values, dtype=np.uint8)
+        if pixels.max(initial=0) > maxval:
+            raise RasterFormatError(
+                f"PGM sample value {int(pixels.max())} exceeds declared maxval {maxval}"
+            )
+        return pixels.reshape(height, width)
+
+    return width, height, decode
 
 
-def _parse_bmp(data: bytes) -> np.ndarray:
+def _parse_bmp(data: bytes) -> tuple:
+    """(width, height, decode) of an 8-bit BMP; decode() reads the samples."""
     if len(data) < 54:
         raise RasterFormatError(f"BMP header truncated: {len(data)} bytes")
     if data[:2] != b"BM":
@@ -136,42 +142,50 @@ def _parse_bmp(data: bytes) -> np.ndarray:
         raise RasterFormatError("BMP palette is not grayscale (r, g, b entries differ)")
     top_down = height < 0
     rows = abs(height)
-    stride = (width + 3) & ~3  # rows padded to 4-byte boundaries
-    need = data_offset + stride * rows
-    if len(data) < need:
-        raise RasterFormatError(
-            f"BMP pixel data truncated: expected {need} bytes, found {len(data)}"
-        )
-    raw = np.frombuffer(data[data_offset : data_offset + stride * rows], dtype=np.uint8)
-    idx = raw.reshape(rows, stride)[:, :width]
-    if idx.max(initial=0) >= n_colors:
-        raise RasterFormatError(
-            f"BMP pixel index {int(idx.max())} outside palette of {n_colors} colors"
-        )
-    gray = b[idx]
-    if not top_down:
-        gray = gray[::-1]  # stored bottom-up; row 0 of the result is the top
-    return gray
+
+    def decode() -> np.ndarray:
+        stride = (width + 3) & ~3  # rows padded to 4-byte boundaries
+        need = data_offset + stride * rows
+        if len(data) < need:
+            raise RasterFormatError(
+                f"BMP pixel data truncated: expected {need} bytes, found {len(data)}"
+            )
+        raw = np.frombuffer(data[data_offset : data_offset + stride * rows], dtype=np.uint8)
+        idx = raw.reshape(rows, stride)[:, :width]
+        if idx.max(initial=0) >= n_colors:
+            raise RasterFormatError(
+                f"BMP pixel index {int(idx.max())} outside palette of {n_colors} colors"
+            )
+        gray = b[idx]
+        if not top_down:
+            gray = gray[::-1]  # stored bottom-up; row 0 of the result is the top
+        return gray
+
+    return width, rows, decode
 
 
-def _parse(path) -> np.ndarray:
+def _open(path) -> tuple:
+    """The order of a square PGM or 8-bit BMP and a function that decodes
+    its samples, top row first.  The header is parsed and checked, squareness
+    included, before any sample is read, so a caller can bound the order
+    first."""
     data = Path(path).read_bytes()
     if data[:2] in (b"P2", b"P5"):
-        return _parse_pgm(data)
-    if data[:2] == b"BM":
-        return _parse_bmp(data)
-    raise RasterFormatError(f"unrecognized raster magic {data[:2]!r} (want PGM or BMP)")
-
-
-def load_gray(path) -> GrayImage:
-    """Load a PGM or 8-bit BMP as a square grayscale image, top row first."""
-    pixels = _parse(path)
-    height, width = pixels.shape
+        width, height, decode = _parse_pgm(data)
+    elif data[:2] == b"BM":
+        width, height, decode = _parse_bmp(data)
+    else:
+        raise RasterFormatError(f"unrecognized raster magic {data[:2]!r} (want PGM or BMP)")
     if width != height:
         raise RasterFormatError(
             f"image is {width}x{height}; the 2-D pipeline needs square input"
         )
-    return GrayImage(pixels)
+    return width, decode
+
+
+def load_gray(path) -> GrayImage:
+    """Load a PGM or 8-bit BMP as a square grayscale image, top row first."""
+    return GrayImage(_open(path)[1]())
 
 
 def save_pgm(img, path, quantize: bool = False) -> None:

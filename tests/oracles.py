@@ -56,9 +56,13 @@ def dense_power_traces(n: int, k: int) -> tuple:
 
     Every partial sum of H**k is bounded by n**k, so the power is formed in
     int64 while n**k < 2**63 and over Python ints beyond; the squares are
-    summed in Python ints.
+    summed in Python ints.  The listing's matrix holds floats, so it is cast
+    to int64 first: cast straight to object it would hold Python floats,
+    inexact past 2**53.
     """
-    h = matlab_rcas(n).astype(np.int64 if n**k < 2**63 else object)
+    h = matlab_rcas(n).astype(np.int64)
+    if n**k >= 2**63:
+        h = h.astype(object)
     power = h
     for _ in range(k - 1):
         power = power @ h

@@ -1,13 +1,14 @@
 """Acceptance gate: every headline claim of the toolkit, with tolerances.
 
 The error-norm curve is evaluated in exact integer arithmetic over all
-orders 2..1024 once per run (4.8 s on a 2-core x86-64 host) and shared by
+orders 2..1024 once per run (1.8 s on a 2-core x86-64 host) and shared by
 the bound, peak, and fit tests.  The exact-inverse sweep to order 256 adds
 9 s there; the whole default suite takes 52-62 s.
 The `slow` marker extends that sweep to 1024 (1309 s there with a peak RSS
 of 157 MB, one run; single orders take 0.09 s at 300, 2.2 s at 903 and
-2.5 s at 1024); it is excluded by default via the pytest configuration and
-selected with `pytest -m slow`.
+2.5 s at 1024) and the 2/9 bound to every 32nd order in 1025..4096 (2.1 s);
+it is excluded by default via the pytest configuration and selected with
+`pytest -m slow`.
 
 Reference images: set RHT_IMAGE_DIR to a directory containing the
 USC-SIPI pictures (5.1.09, 5.1.11, 5.2.09, 7.1.08, 7.1.09) converted to
@@ -168,6 +169,14 @@ def test_exact_inverse_exists_for_every_order_up_to_256():
         inv = rht.exact_inverse(n)
         assert inv.denominator >= 1
         _spot_check_inverse(n, inv)
+
+
+@pytest.mark.slow
+def test_error_norm_bounded_by_two_ninths_at_every_32nd_order_to_4096():
+    # past the paper's range: mu^2 <= (2/9)^2 as integers, 81*q <= 4*n^4
+    for n in range(1025, 4097, 32):
+        q = rht.residual_square_sum(n)
+        assert 81 * q <= 4 * n**4, f"bound violated at n={n}"
 
 
 @pytest.mark.slow

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rht import (
     ColumnPermutation,
@@ -23,7 +25,7 @@ from rht import (
     residual_square_sum,
     walsh_matrix,
 )
-from rht import analysis
+from rht import analysis, core
 from rht.analysis import _power_traces
 from oracles import dense_power_traces
 
@@ -128,6 +130,32 @@ class TestExactCurve:
     def test_orbit_formula_matches_dense_square_at_many_divisors_and_prime(self, n):
         assert residual_square_sum(n) == dense_power_residual(n, 2, np.int64)
 
+    def test_power_traces_match_dense_square_at_every_order_to_130(self):
+        # orders 1 and 2 have no column pair (j, n - j) with j != n - j
+        for n in range(1, 131):
+            assert _power_traces(n, 2) == dense_power_traces(n, 2), n
+
+    @settings(deadline=None, max_examples=30)
+    @given(n=st.integers(1, 300), k=st.sampled_from([2, 3]))
+    def test_power_traces_match_dense_power_to_300(self, n, k):
+        assert _power_traces(n, k) == dense_power_traces(n, k)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 127, 128, 129, 130])
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, object])
+    def test_paired_products_are_the_matrix_power(self, n, dtype):
+        r = core._rounded_cas(n)
+        mirror = np.concatenate((r[:1], r[:0:-1]))
+        even, odd = (r + mirror).astype(dtype), (r - mirror).astype(dtype)
+        h = build_rht_matrix(n).entries
+        want = np.random.default_rng(n).integers(-1000, 1001, (3, n))
+        p = want.astype(dtype)
+        for times in (1, 3):
+            for _ in range(times):
+                want = want @ h
+            got = analysis._times_h(p, even, odd, times)
+            assert got.dtype == np.dtype(dtype) and np.array_equal(got, want), times
+            p = got
+
     def test_divisor_rows_hold_no_square_matrix(self):
         # the 1024 x 1024 rounded matrix alone is 8 MiB in int64
         tracemalloc.start()
@@ -214,12 +242,52 @@ class TestQuasiPeriod:
             assert_quasi_period_pins(n, k, dense_power_residual(n, k))
 
     def test_sixth_power_at_440_matches_dense_power(self):
-        # 456 is the last order with n**6 < 2**53 (float64 divisor rows)
-        # and 457 the first past it (int64 divisor rows)
+        # float64 divisor rows at all three: their limit for k = 6 is
+        # 2*n**5 <= 2**53, so 1351 is the last float64 order and 1352 the
+        # first int64 one (test_sixth_power_at_the_float64_limit...)
         for n in (440, 456, 457):
             q = dense_power_residual(n, 6, dtype=np.int64)  # n**5 < 2**63
             assert q > 10**18
             assert_quasi_period_pins(n, 6, q)
+
+    @pytest.mark.slow
+    def test_sixth_power_at_the_float64_limit_matches_dense_power(self):
+        # 2*1351**5 <= 2**53 < 2*1352**5; the dense sixth power takes about
+        # 13 s per order
+        for n in (1351, 1352):
+            q = dense_power_residual(n, 6, dtype=np.int64)  # n**5 < 2**63
+            assert_quasi_period_pins(n, 6, q)
+
+    # The rows are float64 while 2*n**(k-1) <= 2**53 and int64 while
+    # 2*n**(k-1) < 2**63.  Each pair is the last order under a limit and the
+    # first past it.  For k = 2..5 both limits lie at order 8192 or beyond,
+    # too large for a dense power; the float64 limit of k = 6 (1351) is in
+    # a slow test above; the int64 limit of k = 6..8 (5404, 1290, 463)
+    # needs a Python-int dense power, so it is checked at k = 12 and 14.
+    @pytest.mark.parametrize(
+        "k, n, dtype",
+        [
+            (7, 406, "float64"), (7, 407, "int64"),
+            (8, 172, "float64"), (8, 173, "int64"),
+            (10, 54, "float64"), (10, 55, "int64"),
+            (12, 49, "int64"), (12, 50, "object"),
+            (14, 16, "float64"), (14, 17, "int64"),
+            (14, 27, "int64"), (14, 28, "object"),
+        ],
+    )
+    def test_rows_match_dense_power_on_both_sides_of_each_dtype_limit(
+        self, k, n, dtype, monkeypatch
+    ):
+        seen = set()
+        times_h = analysis._times_h
+
+        def spy(p, *args):
+            seen.add(p.dtype.name)
+            return times_h(p, *args)
+
+        monkeypatch.setattr(analysis, "_times_h", spy)
+        assert _power_traces(n, k) == dense_power_traces(n, k)
+        assert seen == {dtype}
 
     def test_odd_power_traces_match_dense_power(self):
         for k in (1, 3, 5):

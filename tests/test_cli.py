@@ -1,4 +1,5 @@
 import argparse
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -298,6 +299,30 @@ class TestImage2d:
         env = dict(os.environ, RHT_IMAGE_DIR=str(tmp_path))
         cp = run_cli("image2d", "--in", "x.pgm", env=env)
         assert cp.returncode == 0
+
+    # BMP: file header, 40-byte info header (20000 x 20000, 8 bits, one
+    # plane, uncompressed) and a 256-entry gray palette, then no pixels
+    BMP_HEADER = (
+        b"BM"
+        + bytes(8)
+        + struct.pack("<IIiiHHIIIIII", 54 + 1024, 40, 20000, 20000, 1, 8, 0, 0, 0, 0, 0, 0)
+        + bytes(v for i in range(256) for v in (i, i, i, 0))
+    )
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"P5\n20000 20000\n255\n", b"P2\n20000 20000\n255\n", BMP_HEADER],
+        ids=["P5", "P2", "BMP"],
+    )
+    def test_header_past_dense_budget_exits_two_before_decoding(self, tmp_path, header):
+        # a 20000 x 20000 header over a 10-byte body fails on the budget,
+        # not on truncation: no sample is decoded before the check
+        img = tmp_path / "huge"
+        img.write_bytes(header + bytes(10))
+        cp = run_cli("image2d", "--in", str(img))
+        assert cp.returncode == 2
+        assert "budget" in cp.stderr and "truncated" not in cp.stderr
+        assert "Traceback" not in cp.stderr
 
     def test_image_past_dense_budget_exits_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(rht.cli, "_DENSE_BYTES", 8 * 63**2)

@@ -283,6 +283,19 @@ def test_product_rows_are_the_product_index_mod_n(n):
     assert np.array_equal(np.concatenate(blocks), np.multiply.outer(a, a) % n)
 
 
+@pytest.mark.parametrize("n", list(range(1, 131)) + [255, 256, 257, 1021, 1024])
+def test_paired_product_rows_are_the_half_index_mod_n(n):
+    blocks = [block.copy() for block in core._product_rows(n, "paired")]
+    assert [len(b) for b in blocks[:-1]] == [64] * (len(blocks) - 1)
+    a = np.arange(n // 2 + 1)
+    assert np.array_equal(np.concatenate(blocks), np.multiply.outer(a, a) % n)
+
+
+def test_unknown_product_index_mode_rejected():
+    with pytest.raises(ValueError, match="mode"):
+        next(core._product_rows(8, "half"))
+
+
 def test_rht_matrix_build_holds_no_square_index_array():
     tracemalloc.start()
     try:
