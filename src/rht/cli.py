@@ -132,8 +132,8 @@ def _cmd_gen_matrix(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     v = _read_signal(args.signal, args.n)
-    # before the plan, whose kernels hold up to n x n entries at odd n, and
-    # the n x n DHT matrix of --dht are built
+    # before the plan, whose odd-order kernel holds n x (n+1)/2 indices,
+    # and the n x n DHT matrix of --dht are built
     _within_dense_budget(len(v))
     t = rounded_transform(len(v), Normalization.UNSCALED)
     rht_coeffs = apply_direct(t, v).coefficients

@@ -156,8 +156,8 @@ def _unit_orbits(n: int) -> tuple:
 
 def _split_orders(n: int) -> tuple:
     """The even orders n, n/2, ... whose odd blocks the add-only plan of
-    order n holds, and the odd part q of n, whose whole q x q block it
-    holds at the bottom."""
+    order n holds, and the odd part q of n, which it applies over column
+    pairs at the bottom (_paired_plan)."""
     levels = []
     while n % 2 == 0:
         levels.append(n)
@@ -165,23 +165,22 @@ def _split_orders(n: int) -> tuple:
     return levels, n
 
 
-def _kernel_counts(r: np.ndarray, odd: bool) -> np.ndarray:
-    """Nonzeros per row of the block r[i*j mod n], r the order-n rounded cas
-    table, over the rows and columns of the full or odd _product_rows mode.
+def _kernel_counts(r: np.ndarray) -> np.ndarray:
+    """Nonzeros per row of the odd block of r[i*j mod n] (the odd
+    _product_rows mode), r the rounded cas table of an even order n.
 
     With g = gcd(i, n), i*j mod n runs over the multiples of g, each g
-    times, as j runs over 0..n-1, so the full row holds
+    times, as j runs over 0..n-1, so the whole row i holds
     g * count_nonzero(r[::g]) nonzeros.  An odd block row i keeps the
     columns j < n/2, which hold half of them: i*(j + n/2) = i*j + n/2 mod n
     for odd i, and r[x + n/2] = -r[x].  O(n) work; no block is formed.
     """
     n = len(r)
-    g = np.gcd(np.arange(1, n, 2) if odd else np.arange(n), n)
+    g = np.gcd(np.arange(1, n, 2), n)
     per_divisor = np.zeros(n + 1, dtype=np.int64)
     for d in np.flatnonzero(np.bincount(g)).tolist():
         per_divisor[d] = np.count_nonzero(r[::d])
-    counts = g * per_divisor[g]
-    return counts // 2 if odd else counts
+    return g * per_divisor[g] // 2
 
 
 def _row_sum_plan(block: np.ndarray, counts: np.ndarray) -> tuple:
@@ -218,6 +217,66 @@ def _row_sums(rows: tuple, x: np.ndarray) -> np.ndarray:
     return np.add.reduceat(np.concatenate([x, -x]).take(cols), starts)
 
 
+# Where the term a*x_j + b*x_{q-j} of a column pair lies in the first half
+# of _paired_sums' terms, by the pair's code 3*(a + 1) + (b + 1): at
+# kind*h + j for the kinds 0 (s_j, with s_0 = x_0), 1 (x_j), 2 (x_{q-j})
+# and 3 (d_j); codes 0..3 read the negated half.  Code 4, (a, b) = (0, 0),
+# cannot occur (_paired_plan).
+_PAIR_KIND = np.array([0, 1, 3, 2, 0, 2, 3, 1, 0])
+
+
+def _paired_plan(r: np.ndarray) -> np.ndarray:
+    """Term indices of the odd-order-q rounded transform over the column
+    pairs (j, q - j), r its rounded cas table: row i lists the h + 1 terms
+    (h = (q - 1)/2) that _paired_sums adds up for output i.
+
+    Output i is x_0 plus a*x_j + b*x_{q-j} summed over the pairs j = 1..h,
+    with a = r[i*j mod q] and b = r[-i*j mod q].  That is one signed term:
+    a*s_j if a = b, a*d_j if a = -b, a*x_j if b = 0 and b*x_{q-j} if a = 0,
+    with s_j = x_j + x_{q-j} and d_j = x_j - x_{q-j}.  (a, b) = (0, 0)
+    cannot occur, since max(|cas t|, |cas -t|) = sqrt(2) * max(|sin t|,
+    |cos t|) >= 1, so every row holds exactly h + 1 terms; column j = 0
+    has x = 0, whose code (1, 1) reads s_0 = x_0.  Output q - i reads r[-x]
+    where output i reads r[x], so all rows come from gathers over rows
+    i = 0..h of the paired product index (_product_rows).
+    """
+    q = len(r)
+    h = q // 2
+    mirror = np.concatenate((r[:1], r[:0:-1]))  # r[-x mod q]
+    code = 3 * r + mirror + 4
+    if (code == 4).any():
+        raise AssertionError(f"kernel values r[x] = r[-x] = 0 at q={q}")
+    offsets = _PAIR_KIND * h + (np.arange(9) < 4) * (4 * h + 1)
+    table = offsets.take(code)
+    mirrored = np.concatenate((table[:1], table[:0:-1]))
+    index = np.empty((q, h + 1), dtype=np.intp)
+    back = index[::-1]  # back[i - 1] is output q - i
+    start = 0
+    # mode="wrap" (every index is already below q) lets take fill index
+    # in place, where the default mode buffers out
+    for block in _product_rows(q, "paired"):
+        stop = start + len(block)
+        np.take(table, block, out=index[start:stop], mode="wrap")
+        skip = 1 if start == 0 else 0  # output q - 0 is output 0
+        np.take(mirrored, block[skip:], out=back[start + skip - 1 : stop - 1], mode="wrap")
+        start = stop
+    index += np.arange(h + 1)
+    return index
+
+
+def _paired_sums(index: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """kernel @ x from a _paired_plan, for x of odd length q = 2h + 1.
+
+    The terms are x_0, s_1..s_h, x_1..x_h, x_{q-1}..x_{q-h}, d_1..d_h and
+    their negations; forming s and d takes h additions each, and each row
+    sums h + 1 terms.
+    """
+    h = len(x) // 2
+    near, far = x[1 : h + 1], x[:h:-1]
+    terms = np.concatenate((x[:1], near + far, near, far, near - far))
+    return np.concatenate((terms, -terms)).take(index).sum(axis=1)
+
+
 class FastPlan:
     """Add-only plan of the order-n rounded transform, for every n >= 1.
 
@@ -230,9 +289,10 @@ class FastPlan:
     so even outputs are the half-order transform of (low + high) and odd
     outputs are the odd block G[m, k] = h(2m+1, k), k < n/2, applied to
     (low - high).  The plan peels factors of two this way down to the odd
-    part q of n, and holds the signed row-sum kernel of G at each level and
-    of the whole q x q matrix at the bottom (_split_orders).  Immutable
-    after construction and shareable.
+    part q of n (_split_orders).  It holds the signed row-sum kernel of G
+    at each level, and at the bottom the term indices that apply the
+    order-q transform over the column pairs (j, q - j) (_paired_plan).
+    Immutable after construction and shareable.
     """
 
     __slots__ = ("order", "_levels", "_base")
@@ -250,24 +310,21 @@ class FastPlan:
         levels, q = _split_orders(order)
         odd_block = _product_table(r.astype(np.int8), odd=True) if levels else None
         self._levels = tuple(
-            _row_sum_plan(
-                odd_block[: m // 2, :: order // m], _kernel_counts(r[:: order // m], True)
-            )
+            _row_sum_plan(odd_block[: m // 2, :: order // m], _kernel_counts(r[:: order // m]))
             for m in levels
         )
-        base = r[:: order // q]
-        self._base = _row_sum_plan(
-            _product_table(base.astype(np.int8)), _kernel_counts(base, False)
-        )
+        self._base = _paired_plan(r[:: order // q])
 
 
 def _run_plan(p: FastPlan, v: np.ndarray) -> tuple:
     """H @ v through the plan, and the number of additions it took.
 
-    The butterflies run down to the odd part, whose kernel is applied
-    there; the odd-block kernels are applied on the way back up, and the
-    two halves interleave (even, odd).  A butterfly stage of order m costs m
-    additions, a kernel row with z nonzeros z - 1 after a signed copy.
+    The butterflies run down to the odd part q, whose transform is applied
+    there over column pairs; the odd-block kernels are applied on the way
+    back up, and the two halves interleave (even, odd).  A butterfly stage
+    of order m costs m additions and an odd-block row with z nonzeros z - 1
+    after a signed copy.  The odd part costs h pair sums, h pair differences
+    and h additions per output row (h = (q - 1)/2): (q - 1)(q + 2)/2.
     """
     additions = 0
     diffs = []
@@ -276,8 +333,8 @@ def _run_plan(p: FastPlan, v: np.ndarray) -> tuple:
         diffs.append(v[:half] - v[half:])
         v = v[:half] + v[half:]
         additions += 2 * half
-    out = _row_sums(p._base, v)
-    additions += len(p._base[0]) - len(v)
+    out = _paired_sums(p._base, v)
+    additions += 2 * (len(v) // 2) + p._base.size - len(p._base)
     for rows, d in zip(reversed(p._levels), reversed(diffs)):
         even, out = out, np.empty(2 * len(out))
         out[0::2] = even
@@ -394,11 +451,16 @@ def _as_signal(v, n: int) -> np.ndarray:
 def apply_direct(t: ScaledTransform, v) -> Spectrum:
     """Forward rounded transform of a signal.
 
-    The transform's plan (FastPlan) takes butterfly sums and differences
-    and row sums of +x[j] and -x[j] terms, so only additions are taken.
-    Every partial sum is bounded by n * max|v|, so the result is exact for
-    integer v while n * max|v| < 2**53.  In SYMMETRIC mode it is scaled by
-    n**-0.5 once.
+    The transform's plan (FastPlan) takes butterfly sums and differences,
+    row sums of +x[j] and -x[j] terms, and at the odd part q of n row sums
+    of pair sums and differences, so only additions are taken.  Every
+    partial sum is bounded by n * max|v|.  The input of an order-m level is
+    bounded by (n/m) * max|v| and its butterfly sums and differences by
+    twice that, so a row of its odd block, m/2 terms, stays within
+    n * max|v|; at the odd part q, a row is x_0 plus (q - 1)/2 pair terms
+    of at most 2(n/q) * max|v| each, again within n * max|v|.  So the
+    result is exact for integer v while n * max|v| < 2**53.  In SYMMETRIC
+    mode it is scaled by n**-0.5 once.
     """
     v = _as_signal(v, t.order)
     coeffs = _run_plan(t._plan, v)[0]

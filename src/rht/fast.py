@@ -3,10 +3,11 @@
 The plan (core.FastPlan) splits the order-n transform into even and odd
 outputs: even outputs are the half-order transform of (low + high), odd
 outputs a ternary block applied to (low - high).  It peels factors of two
-this way down to the odd part of n and applies that part with its whole
-ternary row-sum kernel, so a power of two runs down to order 1.  Every
-step is a sum, a difference or a signed row sum: no products.  The same
-plan and kernel serve core.apply_direct.
+this way down to the odd part q of n, so a power of two runs down to order
+1.  The order-q transform is applied over the column pairs (j, q - j): from
+the pair sums and differences each output reads x_0 plus one signed term
+per pair.  Every step is a sum, a difference or a signed row sum: no
+products.  The same plan serves core.apply_direct.
 """
 
 from __future__ import annotations
@@ -52,7 +53,9 @@ def fast_rht(p: FastPlan, v) -> tuple[Spectrum, OpCount]:
 def count_model(n: int) -> OpCount:
     """Predicted operation counts for order n without building the plan.
 
-    additions(q) = nonzeros(H_q) - q for odd q, and for even n
+    additions(q) = (q - 1)(q + 2)/2 for odd q: (q - 1)/2 pair sums and as
+    many pair differences, and (q - 1)/2 additions for each of the q output
+    rows.  For even n
     additions(n) = n + additions(n/2) + sum over G rows of (nonzeros - 1),
     the butterfly stage plus the recursive half plus the sparse odd block.
     The nonzeros per row come from core._kernel_counts in O(n).
@@ -61,5 +64,5 @@ def count_model(n: int) -> OpCount:
         raise ValueError(f"order must be positive, got {n}")
     r = _rounded_cas(n)
     levels, q = _split_orders(n)
-    adds = sum(m + int(_kernel_counts(r[:: n // m], True).sum()) - m // 2 for m in levels)
-    return OpCount(adds + int(_kernel_counts(r[:: n // q], False).sum()) - q, 0)
+    adds = sum(m + int(_kernel_counts(r[:: n // m]).sum()) - m // 2 for m in levels)
+    return OpCount(adds + (q - 1) * (q + 2) // 2, 0)

@@ -13,6 +13,7 @@ from rht import (
     plan,
     rounded_transform,
 )
+from rht import core
 
 # additions(n) = n + additions(n/2) + sum over odd-block rows of (nonzeros-1)
 KNOWN_ADDITIONS = {
@@ -131,10 +132,22 @@ def test_fast_direct_and_dense_products_agree_at_every_order_to_300(seed, bound)
         _assert_fast_direct_dense_agree(n, rng.integers(-bound, bound + 1, n))
 
 
-@pytest.mark.parametrize("n", [1000, 1020, 1022, 2046, 3000, 4094, 4096])
+@pytest.mark.parametrize("n", [999, 1000, 1001, 1020, 1022, 2046, 2047, 3000, 4094, 4095, 4096])
 def test_fast_direct_and_dense_products_agree_at_sampled_orders(n):
     rng = np.random.default_rng(n)
     _assert_fast_direct_dense_agree(n, rng.integers(-(2**31), 2**31 + 1, n))
+
+
+def test_fast_direct_and_dense_products_agree_at_every_odd_order_to_301():
+    # the whole transform is the paired odd-part kernel; the extremes
+    # +-2**31 sit in a pair sum and a pair difference
+    rng = np.random.default_rng(301)
+    for q in range(1, 302, 2):
+        v = rng.integers(-(2**31), 2**31 + 1, q)
+        v[0], v[-1] = 2**31, -(2**31)
+        if q > 1:
+            v[1] = 2**31
+        _assert_fast_direct_dense_agree(q, v)
 
 
 def test_measured_counts_match_model_at_every_order_to_300():
@@ -148,6 +161,39 @@ def test_even_orders_take_fewer_additions_than_the_direct_product():
     for n in range(4, 301, 2):
         direct = int(np.count_nonzero(build_rht_matrix(n).entries)) - n
         assert count_model(n).additions < direct, n
+
+
+def test_odd_orders_take_q_minus_one_times_q_plus_two_over_two_additions():
+    # (q-1)/2 pair sums, as many differences, and (q-1)/2 additions per
+    # output row; at q = 3 the one difference is formed but never read,
+    # so 5 against the direct product's 4
+    for q in range(1, 302, 2):
+        assert count_model(q).additions == (q - 1) * (q + 2) // 2, q
+        direct = int(np.count_nonzero(build_rht_matrix(q).entries)) - q
+        assert (count_model(q).additions < direct) == (q >= 5), q
+    # and the README's counts at the odd parts 125 and 511 of 1000 and 1022
+    pinned = {3: 5, 641: 205760, 999: 499499, 1000: 261174, 1022: 332027}
+    assert {q: count_model(q).additions for q in pinned} == pinned
+
+
+# the angles 2*pi*2/5 and 2*pi*3/5 of order n, and at n = 20 also the
+# angles half a turn on, whose rounded values the odd block negates
+@pytest.mark.parametrize("n,zeroed", [(5, [2, 3]), (20, [2, 8, 12, 18])])
+def test_plan_rejects_a_cas_table_with_a_pair_of_zeros(n, zeroed, monkeypatch):
+    # |cas t| and |cas -t| are never both below 1/2; a doctored table that
+    # rounds them to 0 gives the odd part 5 of n a column pair that no
+    # term can express
+    exact = core._cas_table
+
+    def doctored(m):
+        table = exact(m)
+        if m == n:
+            table[zeroed] = 0.25
+        return table
+
+    monkeypatch.setattr(core, "_cas_table", doctored)
+    with pytest.raises(AssertionError, match=r"r\[x\] = r\[-x\] = 0 at q=5"):
+        plan(n)
 
 
 def test_wrong_length_input_rejected():
