@@ -135,10 +135,7 @@ def _times_h(p: np.ndarray, even: np.ndarray, odd: np.ndarray, times: int) -> np
     product.  The sums and differences of q are those of the next power,
     once its unpaired sums q_l + q_l are halved, and the columns are formed
     at the end as q_l, q_-l = (sum +- difference) / 2.  Every halving is
-    exact, as it halves twice an integer.  One power gathers the tables
-    straight from the in-place index blocks; more powers gather them once
-    per call as int8 blocks, (n//2 + 1)**2 bytes per table, and widen those
-    for each power rather than form and gather the index again.
+    exact, as it halves twice an integer.
     """
     n = p.shape[1]
     h = (n - 1) // 2  # the pairs j = 1..h have two distinct columns
@@ -148,25 +145,14 @@ def _times_h(p: np.ndarray, even: np.ndarray, odd: np.ndarray, times: int) -> np
     mirror = p[:, : n - h - 1 : -1]  # columns n-1, ..., n-h
     sums[:, 1 : h + 1] += mirror
     diffs[:, 1 : h + 1] -= mirror
-    kept = None
-    if times > 1:
-        # the table entries lie in -2..2
-        small_even, small_odd = even.astype(np.int8), odd.astype(np.int8)
-        kept = [
-            (small_even.take(block), small_odd.take(block))
-            for block in _product_rows(n, "paired")
-        ]
     for step in range(times):
         if step:
             sums, diffs = a, b
             sums[:, unpaired] //= 2
-        if kept is None:
-            blocks = [
-                (sums @ even.take(block).T, diffs @ odd.take(block).T)
-                for block in _product_rows(n, "paired")
-            ]
-        else:
-            blocks = [(sums @ e.T.astype(p.dtype), diffs @ o.T.astype(p.dtype)) for e, o in kept]
+        blocks = [
+            (sums @ even.take(block).T, diffs @ odd.take(block).T)
+            for block in _product_rows(n, "paired")
+        ]
         a, b = (np.hstack(part) for part in zip(*blocks)) if len(blocks) > 1 else blocks[0]
     out = np.concatenate([a + b, a[:, h:0:-1] - b[:, h:0:-1]], axis=1)
     if out.dtype == np.float64:

@@ -324,7 +324,8 @@ def _run_plan(p: FastPlan, v: np.ndarray) -> tuple:
     back up, and the two halves interleave (even, odd).  A butterfly stage
     of order m costs m additions and an odd-block row with z nonzeros z - 1
     after a signed copy.  The odd part costs h pair sums, h pair differences
-    and h additions per output row (h = (q - 1)/2): (q - 1)(q + 2)/2.
+    and h additions per output row (h = (q - 1)/2): (q - 1)(q + 2)/2.  At
+    q = 1 the kernel is the identity, and the signal is copied instead.
     """
     additions = 0
     diffs = []
@@ -333,7 +334,7 @@ def _run_plan(p: FastPlan, v: np.ndarray) -> tuple:
         diffs.append(v[:half] - v[half:])
         v = v[:half] + v[half:]
         additions += 2 * half
-    out = _paired_sums(p._base, v)
+    out = _paired_sums(p._base, v) if len(v) > 1 else v.copy()
     additions += 2 * (len(v) // 2) + p._base.size - len(p._base)
     for rows, d in zip(reversed(p._levels), reversed(diffs)):
         even, out = out, np.empty(2 * len(out))
