@@ -2,8 +2,8 @@
 
 The DHT matrix rounded entrywise to {-1, 0, 1} gives an integer,
 multiplication-free spectral operator that is its own weak inverse under
-symmetric scaling.  This package provides the matrices, the fast
-radix-2 evaluation, exact rational inverses, the error-norm analysis
+symmetric scaling.  This package provides the matrices, the add-only
+evaluation for every order, exact rational inverses, the error-norm analysis
 apparatus, the 2-D image pipeline, and raster I/O.
 """
 

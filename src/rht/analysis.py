@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _product_rows, _rounded_cas, _unit_orbits, build_rht_matrix
+from .core import _mirror, _product_rows, _rounded_cas, _unit_orbits, build_rht_matrix
 from .transform2d import GrayImage
 
 __all__ = [
@@ -191,7 +191,7 @@ def _power_traces(n: int, k: int) -> tuple:
     divisors, orbit_sizes, orbit, unit = _unit_orbits(n)
     rows = divisors % n
     power = r[np.multiply.outer(rows, np.arange(n)) % n]
-    mirror = np.concatenate((r[:1], r[:0:-1]))  # r[-x mod n]
+    mirror = _mirror(r)
     even, odd = r + mirror, r - mirror
     if k > 1:
         power = _times_h(power, even, odd, k - 1)

@@ -75,6 +75,12 @@ def _rounded_cas(n: int) -> np.ndarray:
     return _round_half_away(table).astype(np.int64)
 
 
+def _mirror(x: np.ndarray, axis: int = 0) -> np.ndarray:
+    """A copy of x read at -i mod n along the axis, n its length there."""
+    lead = (slice(None),) * axis
+    return np.concatenate((x[lead + (slice(0, 1),)], x[lead + (slice(None, 0, -1),)]), axis=axis)
+
+
 # Rows per block of the product index.  Wider blocks fall out of cache: on
 # a 2-core x86-64 host at orders 769-1024, the k = 2 products of
 # analysis._power_traces took 1.3x as long with 128 rows and 2x with 256 as
@@ -218,37 +224,39 @@ def _row_sums(rows: tuple, x: np.ndarray) -> np.ndarray:
 
 
 # Where the term a*x_j + b*x_{q-j} of a column pair lies in the first half
-# of _paired_sums' terms, by the pair's code 3*(a + 1) + (b + 1): at
+# of the terms of _paired_plan, by the pair's code 3*(a + 1) + (b + 1): at
 # kind*h + j for the kinds 0 (s_j, with s_0 = x_0), 1 (x_j), 2 (x_{q-j})
 # and 3 (d_j); codes 0..3 read the negated half.  Code 4, (a, b) = (0, 0),
 # cannot occur (_paired_plan).
 _PAIR_KIND = np.array([0, 1, 3, 2, 0, 2, 3, 1, 0])
 
 
-def _paired_plan(r: np.ndarray) -> np.ndarray:
-    """Term indices of the odd-order-q rounded transform over the column
-    pairs (j, q - j), r its rounded cas table: row i lists the h + 1 terms
-    (h = (q - 1)/2) that _paired_sums adds up for output i.
+def _paired_plan(r: np.ndarray) -> tuple:
+    """Row-sum kernel (_row_sums) of the odd-order-q rounded transform, r
+    its rounded cas table.  Each output sums h + 1 of the terms
+
+        x_0, s_1..s_h, x_1..x_h, x_{q-1}..x_{q-h}, d_1..d_h
+
+    of the column pairs (j, q - j): h = (q - 1)/2, s_j = x_j + x_{q-j} and
+    d_j = x_j - x_{q-j}.
 
     Output i is x_0 plus a*x_j + b*x_{q-j} summed over the pairs j = 1..h,
     with a = r[i*j mod q] and b = r[-i*j mod q].  That is one signed term:
-    a*s_j if a = b, a*d_j if a = -b, a*x_j if b = 0 and b*x_{q-j} if a = 0,
-    with s_j = x_j + x_{q-j} and d_j = x_j - x_{q-j}.  (a, b) = (0, 0)
-    cannot occur, since max(|cas t|, |cas -t|) = sqrt(2) * max(|sin t|,
-    |cos t|) >= 1, so every row holds exactly h + 1 terms; column j = 0
-    has x = 0, whose code (1, 1) reads s_0 = x_0.  Output q - i reads r[-x]
-    where output i reads r[x], so all rows come from gathers over rows
-    i = 0..h of the paired product index (_product_rows).
+    a*s_j if a = b, a*d_j if a = -b, a*x_j if b = 0 and b*x_{q-j} if a = 0.
+    (a, b) = (0, 0) cannot occur, since max(|cas t|, |cas -t|) = sqrt(2) *
+    max(|sin t|, |cos t|) >= 1; column j = 0 has x = 0, whose code (1, 1)
+    reads s_0 = x_0.  Output q - i reads r[-x] where output i reads r[x],
+    so all rows come from gathers over rows i = 0..h of the paired product
+    index (_product_rows).
     """
     q = len(r)
     h = q // 2
-    mirror = np.concatenate((r[:1], r[:0:-1]))  # r[-x mod q]
-    code = 3 * r + mirror + 4
+    code = 3 * r + _mirror(r) + 4
     if (code == 4).any():
         raise AssertionError(f"kernel values r[x] = r[-x] = 0 at q={q}")
     offsets = _PAIR_KIND * h + (np.arange(9) < 4) * (4 * h + 1)
     table = offsets.take(code)
-    mirrored = np.concatenate((table[:1], table[:0:-1]))
+    mirrored = _mirror(table)
     index = np.empty((q, h + 1), dtype=np.intp)
     back = index[::-1]  # back[i - 1] is output q - i
     start = 0
@@ -261,20 +269,7 @@ def _paired_plan(r: np.ndarray) -> np.ndarray:
         np.take(mirrored, block[skip:], out=back[start + skip - 1 : stop - 1], mode="wrap")
         start = stop
     index += np.arange(h + 1)
-    return index
-
-
-def _paired_sums(index: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """kernel @ x from a _paired_plan, for x of odd length q = 2h + 1.
-
-    The terms are x_0, s_1..s_h, x_1..x_h, x_{q-1}..x_{q-h}, d_1..d_h and
-    their negations; forming s and d takes h additions each, and each row
-    sums h + 1 terms.
-    """
-    h = len(x) // 2
-    near, far = x[1 : h + 1], x[:h:-1]
-    terms = np.concatenate((x[:1], near + far, near, far, near - far))
-    return np.concatenate((terms, -terms)).take(index).sum(axis=1)
+    return index.ravel(), np.arange(0, index.size, h + 1)
 
 
 class FastPlan:
@@ -290,8 +285,8 @@ class FastPlan:
     outputs are the odd block G[m, k] = h(2m+1, k), k < n/2, applied to
     (low - high).  The plan peels factors of two this way down to the odd
     part q of n (_split_orders).  It holds the signed row-sum kernel of G
-    at each level, and at the bottom the term indices that apply the
-    order-q transform over the column pairs (j, q - j) (_paired_plan).
+    at each level, and at the bottom that of the order-q transform over
+    the column pairs (j, q - j) (_paired_plan).
     Immutable after construction and shareable.
     """
 
@@ -319,13 +314,13 @@ class FastPlan:
 def _run_plan(p: FastPlan, v: np.ndarray) -> tuple:
     """H @ v through the plan, and the number of additions it took.
 
-    The butterflies run down to the odd part q, whose transform is applied
-    there over column pairs; the odd-block kernels are applied on the way
-    back up, and the two halves interleave (even, odd).  A butterfly stage
-    of order m costs m additions and an odd-block row with z nonzeros z - 1
-    after a signed copy.  The odd part costs h pair sums, h pair differences
-    and h additions per output row (h = (q - 1)/2): (q - 1)(q + 2)/2.  At
-    q = 1 the kernel is the identity, and the signal is copied instead.
+    The butterflies run down to the odd part q, whose kernel is applied
+    there to the pair terms of _paired_plan; the odd-block kernels are
+    applied on the way back up, and the two halves interleave (even, odd).
+    A butterfly stage of order m costs m additions, the pair terms h sums
+    and h differences (h = (q - 1)/2), and a kernel row of z terms z - 1
+    after a signed copy.  At q = 1 the kernel is the identity, and the
+    signal is copied instead.
     """
     additions = 0
     diffs = []
@@ -334,8 +329,13 @@ def _run_plan(p: FastPlan, v: np.ndarray) -> tuple:
         diffs.append(v[:half] - v[half:])
         v = v[:half] + v[half:]
         additions += 2 * half
-    out = _paired_sums(p._base, v) if len(v) > 1 else v.copy()
-    additions += 2 * (len(v) // 2) + p._base.size - len(p._base)
+    h = len(v) // 2
+    if h:
+        near, far = v[1 : h + 1], v[:h:-1]
+        out = _row_sums(p._base, np.concatenate((v[:1], near + far, near, far, near - far)))
+    else:
+        out = v.copy()
+    additions += 2 * h + len(p._base[0]) - len(p._base[1])
     for rows, d in zip(reversed(p._levels), reversed(diffs)):
         even, out = out, np.empty(2 * len(out))
         out[0::2] = even
@@ -521,8 +521,7 @@ def fourier_estimate(s: Spectrum) -> np.ndarray:
     fast rough estimate.
     """
     v = s.coefficients
-    n = len(v)
-    rev = v[(-np.arange(n)) % n]
+    rev = _mirror(v)
     even = (v + rev) / 2.0
     odd = (v - rev) / 2.0
     return even - 1j * odd

@@ -28,6 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .core import _unit_orbits, build_rht_matrix
+
 __all__ = ["NotInvertible", "RationalMatrix", "exact_inverse", "invert_integer_matrix"]
 
 _PRIME_CEILING = 1 << 20  # every prime used is below this
@@ -465,8 +467,6 @@ def exact_inverse(n: int) -> RationalMatrix:
     symmetric) H @ X == den * I.  A singular matrix raises NotInvertible,
     which would be a counterexample worth reporting.
     """
-    from .core import _unit_orbits, build_rht_matrix
-
     if n < 1:
         raise ValueError("order must be positive")
     divisors, _, orbit, unit = _unit_orbits(n)

@@ -6,7 +6,8 @@ outputs a ternary block applied to (low - high).  It peels factors of two
 this way down to the odd part q of n, so a power of two runs down to order
 1.  The order-q transform is applied over the column pairs (j, q - j): from
 the pair sums and differences each output reads x_0 plus one signed term
-per pair.  Every step is a sum, a difference or a signed row sum: no
+per pair.  Every kernel, the odd blocks and the odd part alike, is a signed
+row sum (core._row_sums), and every other step a sum or a difference: no
 products.  The same plan serves core.apply_direct.
 """
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import build_rht_matrix
+from .core import _mirror, build_rht_matrix
+from .exact import exact_inverse
 
 __all__ = [
     "GrayImage",
@@ -76,11 +77,6 @@ def _as_grid(t) -> CoefficientGrid:
     return t if isinstance(t, CoefficientGrid) else CoefficientGrid(t)
 
 
-def _reversal(n: int) -> np.ndarray:
-    # index map i -> (n - i) mod n; position 0 is fixed
-    return (-np.arange(n)) % n
-
-
 def _ternary_sandwich(x: np.ndarray) -> np.ndarray:
     # A dense BLAS product on purpose: the add-only row-sum kernel applied to
     # all columns at once gathers nnz(K) * n values (830 MB at n = 512) and
@@ -90,9 +86,8 @@ def _ternary_sandwich(x: np.ndarray) -> np.ndarray:
 
 
 def _flip_combination(x: np.ndarray) -> np.ndarray:
-    n = x.shape[0]
-    rev = _reversal(n)
-    return 0.5 * (x + x[:, rev] + x[rev, :] - x[np.ix_(rev, rev)])
+    rows = _mirror(x)
+    return 0.5 * (x + _mirror(x, 1) + rows - _mirror(rows, 1))
 
 
 def forward_2d(a) -> CoefficientGrid:
@@ -116,8 +111,6 @@ def exact_inverse_2d(b) -> GrayImage:
     Denominators pass float64's range from order 293 on, so numerators and
     denominator share one right shift that leaves the denominator 64 bits.
     """
-    from .exact import exact_inverse
-
     b = _as_grid(b)
     inv = exact_inverse(b.order)
     shift = max(0, inv.denominator.bit_length() - 64)

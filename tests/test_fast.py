@@ -77,11 +77,14 @@ def test_fast_direct_and_dense_products_agree(n, data):
     assert ops.multiplications == 0
 
 
-def test_fast_handles_real_valued_input():
+@pytest.mark.parametrize("n", [31, 32, 999, 1000])
+def test_fast_handles_real_valued_input(n):
+    # 31, 999 and 1000 reach the odd-part kernel, whose row sums add the
+    # pair terms in another order than the dense product does
     rng = np.random.default_rng(2)
-    v = rng.normal(size=32)
-    dense = build_rht_matrix(32).entries.astype(np.float64)
-    spec, _ = fast_rht(plan(32), v)
+    v = rng.normal(size=n)
+    dense = build_rht_matrix(n).entries.astype(np.float64)
+    spec, _ = fast_rht(plan(n), v)
     np.testing.assert_allclose(spec.coefficients, dense @ v, rtol=1e-12)
 
 
