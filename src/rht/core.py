@@ -287,10 +287,15 @@ class FastPlan:
     part q of n (_split_orders).  It holds the signed row-sum kernel of G
     at each level, and at the bottom that of the order-q transform over
     the column pairs (j, q - j) (_paired_plan).
+
+    The additions a run takes depend on the plan alone, so they are counted
+    here, once: a butterfly stage of order m takes m, the pair terms h sums
+    and h differences (h = (q - 1)/2), and a kernel row of z terms z - 1
+    after a signed copy.
     Immutable after construction and shareable.
     """
 
-    __slots__ = ("order", "_levels", "_base")
+    __slots__ = ("order", "_levels", "_base", "_additions")
 
     def __init__(self, order: int):
         if order < 1:
@@ -309,39 +314,33 @@ class FastPlan:
             for m in levels
         )
         self._base = _paired_plan(r[:: order // q])
+        self._additions = 2 * (order - q) + (q - 1) + sum(
+            len(cols) - len(starts) for cols, starts in (*self._levels, self._base)
+        )
 
 
-def _run_plan(p: FastPlan, v: np.ndarray) -> tuple:
-    """H @ v through the plan, and the number of additions it took.
+def _run_plan(p: FastPlan, v: np.ndarray) -> np.ndarray:
+    """H @ v through the plan, in one pass down the butterflies.
 
-    The butterflies run down to the odd part q, whose kernel is applied
-    there to the pair terms of _paired_plan; the odd-block kernels are
-    applied on the way back up, and the two halves interleave (even, odd).
-    A butterfly stage of order m costs m additions, the pair terms h sums
-    and h differences (h = (q - 1)/2), and a kernel row of z terms z - 1
-    after a signed copy.  At q = 1 the kernel is the identity, and the
-    signal is copied instead.
+    At level t (order n / 2**t) the odd-block kernel gives outputs
+    (2a + 1) * 2**t, which are written at their stride as the butterflies
+    run; the odd part q, at the bottom, gives outputs i * 2**e
+    (n = 2**e * q) from the pair terms of _paired_plan.  At q = 1 the kernel
+    is the identity, and the signal is copied instead.
     """
-    additions = 0
-    diffs = []
-    for _ in p._levels:
+    out = np.empty(len(v))
+    step = 1
+    for rows in p._levels:
         half = len(v) // 2
-        diffs.append(v[:half] - v[half:])
+        out[step :: 2 * step] = _row_sums(rows, v[:half] - v[half:])
         v = v[:half] + v[half:]
-        additions += 2 * half
+        step *= 2
     h = len(v) // 2
     if h:
         near, far = v[1 : h + 1], v[:h:-1]
-        out = _row_sums(p._base, np.concatenate((v[:1], near + far, near, far, near - far)))
-    else:
-        out = v.copy()
-    additions += 2 * h + len(p._base[0]) - len(p._base[1])
-    for rows, d in zip(reversed(p._levels), reversed(diffs)):
-        even, out = out, np.empty(2 * len(out))
-        out[0::2] = even
-        out[1::2] = _row_sums(rows, d)
-        additions += len(rows[0]) - len(rows[1])
-    return out, additions
+        v = _row_sums(p._base, np.concatenate((v[:1], near + far, near, far, near - far)))
+    out[::step] = v
+    return out
 
 
 @dataclass(frozen=True)
@@ -464,7 +463,7 @@ def apply_direct(t: ScaledTransform, v) -> Spectrum:
     mode it is scaled by n**-0.5 once.
     """
     v = _as_signal(v, t.order)
-    coeffs = _run_plan(t._plan, v)[0]
+    coeffs = _run_plan(t._plan, v)
     if t.normalization is Normalization.SYMMETRIC:
         coeffs = coeffs / math.sqrt(t.order)
     return Spectrum(coeffs, t.normalization)
@@ -509,7 +508,7 @@ def reconstruction_error(t: ScaledTransform, v) -> np.ndarray:
     if t.normalization is not Normalization.SYMMETRIC:
         raise ValueError("reconstruction error is defined for SYMMETRIC mode")
     v = _as_signal(v, t.order)
-    return _run_plan(t._plan, _run_plan(t._plan, v)[0])[0] / t.order - v
+    return _run_plan(t._plan, _run_plan(t._plan, v)) / t.order - v
 
 
 def fourier_estimate(s: Spectrum) -> np.ndarray:

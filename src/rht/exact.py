@@ -398,11 +398,9 @@ def _solve(m: np.ndarray, rhs: np.ndarray, expand):
     # |b| stays below n * max_m, so r0 @ b sums to under n**2 * max_m * p
     _check_exact(n * n * max(max_m, 1) * _PRIME_CEILING, "p-adic lifting product")
 
+    mf = m.astype(np.float64)
     # log2 of the Hadamard determinant bound, from the actual row norms
-    log_had = 0.0
-    for row in m:
-        norm_sq = float(np.dot(row.astype(np.float64), row.astype(np.float64)))
-        log_had += 0.5 * math.log2(max(norm_sq, 1.0))
+    log_had = 0.5 * np.log2(np.maximum((mf * mf).sum(axis=1), 1.0)).sum()
 
     log_tried = 0.0
     for p in _primes_below(_PRIME_CEILING):
@@ -417,7 +415,6 @@ def _solve(m: np.ndarray, rhs: np.ndarray, expand):
             )
 
     r0f = expand(sol).astype(np.float64)
-    mf = m.astype(np.float64)
     digits_ceiling = max(4, int(2 * (log_had + 1) / math.log2(p)) + 4)
     b = rhs.astype(np.float64)
     digits = []

@@ -44,11 +44,13 @@ def fast_rht(p: FastPlan, v) -> tuple[Spectrum, OpCount]:
     """Fast unscaled rounded transform with instrumented operation counts.
 
     The spectrum equals the direct ternary product exactly (bit-exact for
-    integer inputs); the count of executed additions/subtractions is
-    tallied as the plan runs and multiplications are structurally zero.
+    integer inputs).  The plan runs in one pass, each output written at its
+    stride as the butterflies reach it; the additions and subtractions it
+    takes are the count stored in the plan (FastPlan), and multiplications
+    are structurally zero.
     """
-    out, additions = _run_plan(p, _as_signal(v, p.order))
-    return Spectrum(out, Normalization.UNSCALED), OpCount(additions, 0)
+    out = _run_plan(p, _as_signal(v, p.order))
+    return Spectrum(out, Normalization.UNSCALED), OpCount(p._additions, 0)
 
 
 def count_model(n: int) -> OpCount:

@@ -7,6 +7,8 @@ silent zero-fill, no partial images.
 
 from __future__ import annotations
 
+import itertools
+import re
 import struct
 from pathlib import Path
 
@@ -22,67 +24,64 @@ class RasterFormatError(ValueError):
     """A raster file failed to parse; the message names the bad field."""
 
 
-class _TokenReader:
-    """Whitespace/comment-aware token scanner over PGM header bytes."""
+# Every byte that is not whitespace starts a match, either a comment or a
+# token (which cannot begin with "#"), so finditer skips only whitespace and
+# a comment always runs to the end of its line or of the data.  A pattern
+# that skips comments before a token would instead backtrack into an
+# unterminated comment, or skip past it and read a token from inside it.
+_TOKENS = re.compile(rb"#[^\n]*|([^\s#]\S*)")
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
 
-    def _skip_separators(self):
-        while self.pos < len(self.data):
-            c = self.data[self.pos : self.pos + 1]
-            if c.isspace():
-                self.pos += 1
-            elif c == b"#":
-                nl = self.data.find(b"\n", self.pos)
-                self.pos = len(self.data) if nl < 0 else nl + 1
-            else:
-                return
-
-    def token(self, field: str) -> bytes:
-        self._skip_separators()
-        start = self.pos
-        while self.pos < len(self.data) and not self.data[self.pos : self.pos + 1].isspace():
-            self.pos += 1
-        if self.pos == start:
-            raise RasterFormatError(f"PGM header truncated while reading {field}")
-        return self.data[start : self.pos]
-
-    def integer(self, field: str) -> int:
-        # ASCII decimal digits only (bytes.isdigit is ASCII-only); int() alone
-        # would also take "+3" and "2_55".  A leading "-" parses, so that the
-        # range check of the field, which every negative value fails, names it.
-        tok = self.token(field)
-        try:
-            if tok.removeprefix(b"-").isdigit():
-                return int(tok)
-        except ValueError:  # more digits than int() converts
-            pass
-        raise RasterFormatError(f"PGM {field} is not an integer: {tok!r}")
+def _integer(tok: bytes, field: str) -> int:
+    # ASCII decimal digits only (bytes.isdigit is ASCII-only); int() alone
+    # would also take "+3" and "2_55".  A leading "-" parses, so that the
+    # range check of the field, which every negative value fails, names it.
+    try:
+        if tok.removeprefix(b"-").isdigit():
+            return int(tok)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise RasterFormatError(f"PGM {field} is not an integer: {tok!r}")
 
 
 def _parse_pgm(data: bytes) -> tuple:
     """(width, height, decode) of a PGM; decode() reads the samples."""
-    rd = _TokenReader(data)
-    magic = rd.token("magic")
+    # Lazy, so a P5 payload, which starts one byte after maxval, is never
+    # tokenized, and P2 samples are checked one at a time as they arrive.
+    # A comment match has no group 1, so lastindex is None.
+    tokens = (m for m in _TOKENS.finditer(data) if m.lastindex)
+
+    def token(field: str) -> re.Match:
+        m = next(tokens, None)
+        if m is None:
+            raise RasterFormatError(f"PGM header truncated while reading {field}")
+        return m
+
+    magic = token("magic")[1]
     if magic not in (b"P2", b"P5"):
         raise RasterFormatError(f"PGM magic must be P2 or P5, got {magic!r}")
-    width = rd.integer("width")
-    height = rd.integer("height")
+    width = _integer(token("width")[1], "width")
+    height = _integer(token("height")[1], "height")
     if width <= 0 or height <= 0:
         raise RasterFormatError(f"PGM width/height must be positive, got {width}x{height}")
-    maxval = rd.integer("maxval")
+    maxval_token = token("maxval")
+    maxval = _integer(maxval_token[1], "maxval")
     if maxval <= 0:
         raise RasterFormatError(f"PGM maxval must be positive, got {maxval}")
     if maxval > 255:
         raise RasterFormatError(f"PGM maxval {maxval} exceeds 255 (8-bit only)")
     count = width * height
 
+    def sample(m: re.Match) -> int:
+        value = _integer(m[1], "sample")
+        if not 0 <= value <= maxval:
+            raise RasterFormatError(f"PGM sample {value} outside 0..maxval={maxval}")
+        return value
+
     def decode() -> np.ndarray:
         if magic == b"P5":
             # exactly one separator byte between maxval and the raw payload
-            start = rd.pos + 1
+            start = maxval_token.end() + 1
             raw = data[start : start + count]
             if len(raw) < count:
                 raise RasterFormatError(
@@ -90,17 +89,14 @@ def _parse_pgm(data: bytes) -> tuple:
                 )
             pixels = np.frombuffer(raw, dtype=np.uint8)
         else:
-            values = []
-            for _ in range(count):
-                rd._skip_separators()
-                if rd.pos >= len(rd.data):
-                    raise RasterFormatError(
-                        f"PGM pixel data truncated: expected {count} samples, found {len(values)}"
-                    )
-                values.append(rd.integer("sample"))
-                if not 0 <= values[-1] <= maxval:
-                    raise RasterFormatError(f"PGM sample {values[-1]} outside 0..maxval={maxval}")
-            pixels = np.array(values, dtype=np.uint8)
+            # no more samples than bytes remain, and islice takes no stop
+            # beyond sys.maxsize, which a many-digit width and height exceed
+            found = itertools.islice(tokens, min(count, len(data)))
+            pixels = np.fromiter(map(sample, found), dtype=np.uint8)
+            if len(pixels) < count:
+                raise RasterFormatError(
+                    f"PGM pixel data truncated: expected {count} samples, found {len(pixels)}"
+                )
         if pixels.max(initial=0) > maxval:
             raise RasterFormatError(
                 f"PGM sample value {int(pixels.max())} exceeds declared maxval {maxval}"

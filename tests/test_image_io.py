@@ -3,13 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rht import (
     GrayImage,
     RasterFormatError,
     build_rht_matrix,
+    image_io,
     intensity_diagram,
     load_gray,
     save_pgm,
@@ -40,6 +42,26 @@ def make_bmp(pixels, bottom_up=True, palette=None, bpp=8, compression=0,
     return head + info + pal + payload
 
 
+_WHITESPACE = [bytes([c]) for c in b" \t\n\r\x0b\x0c"]
+
+
+@st.composite
+def ascii_pgm(draw):
+    """A random square uint8 image of order up to 16 and its P2 bytes.  Each
+    separator, one of up to eight drawn, is one ASCII whitespace byte, then
+    whitespace bytes and comments that end in a newline."""
+    n = draw(st.integers(1, 16))
+    pixels = draw(arrays(np.uint8, (n, n)))
+    comment = st.binary(max_size=6).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+    more = st.lists(st.one_of(st.sampled_from(_WHITESPACE), comment), max_size=3)
+    separator = st.tuples(st.sampled_from(_WHITESPACE), more).map(lambda t: t[0] + b"".join(t[1]))
+    fields = [b"%d" % n, b"%d" % n, b"255"] + [b"%d" % v for v in pixels.ravel()]
+    seps = draw(st.lists(separator, min_size=1, max_size=8))
+    picks = draw(arrays(np.intp, len(fields), elements=st.integers(0, len(seps) - 1)))
+    body = b"".join(seps[i] + f for i, f in zip(picks, fields))
+    return pixels, b"P2" + body + draw(st.sampled_from([b"", b"\n", b" #end"]))
+
+
 class TestPgmLoad:
     def test_binary_pgm(self, tmp_path):
         p = tmp_path / "a.pgm"
@@ -47,11 +69,20 @@ class TestPgmLoad:
         img = load_gray(p)
         assert img.pixels.tolist() == [[0, 255], [128, 64]]
 
-    def test_ascii_pgm_equals_binary(self, tmp_path):
-        p = tmp_path / "a.pgm"
-        p.write_text("P2\n2 2\n255\n0 255\n128 64\n")
-        img = load_gray(p)
-        assert img.pixels.tolist() == [[0, 255], [128, 64]]
+    @settings(
+        deadline=None, max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(case=ascii_pgm())
+    @example(case=(np.array([[0, 255], [128, 64]]), b"P2\n2 2\n255\n0 255\n128 64\n"))
+    def test_ascii_pgm_equals_binary(self, tmp_path, case):
+        pixels, p2 = case
+        n = len(pixels)
+        binary, text = tmp_path / "b.pgm", tmp_path / "a.pgm"
+        binary.write_bytes(b"P5\n%d %d\n255\n" % (n, n) + pixels.astype(np.uint8).tobytes())
+        text.write_bytes(p2)
+        loaded = load_gray(text).pixels
+        assert np.array_equal(loaded, load_gray(binary).pixels)
+        assert np.array_equal(loaded, pixels)
 
     def test_comments_anywhere_in_header(self, tmp_path):
         p = tmp_path / "a.pgm"
@@ -99,6 +130,24 @@ class TestPgmErrors:
     def test_truncated_ascii_payload(self, tmp_path):
         with pytest.raises(RasterFormatError, match="truncated"):
             load_gray(self.make(tmp_path, "P2\n2 2\n255\n1 2 3"))
+
+    # a comment runs to the end of its line or of the file, and nothing in
+    # it is read as a field or a sample
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"P5 #3 3 255", "truncated while reading width"),
+            (b"P2 2 1 255 7 #c", "truncated: expected 2 samples, found 1"),
+        ],
+    )
+    def test_unterminated_comment_holds_no_tokens(self, content, message):
+        with pytest.raises(RasterFormatError, match=message):
+            image_io._parse_pgm(content)[2]()
+
+    def test_ascii_payload_of_a_huge_header_is_truncated(self, tmp_path):
+        big = 10**30
+        with pytest.raises(RasterFormatError, match=f"expected {big * big} samples, found 2"):
+            load_gray(self.make(tmp_path, f"P2 {big} {big} 255 1 2"))
 
     def test_sample_exceeding_maxval(self, tmp_path):
         with pytest.raises(RasterFormatError, match="maxval"):
@@ -285,6 +334,22 @@ def test_megapixel_load_makes_one_float_copy(tmp_path, fmt):
         tracemalloc.stop()
     assert np.array_equal(img.pixels, pixels)
     assert peak < 12 * 2**20  # 8 MiB of float64 pixels plus the file; two copies were 16 MiB
+
+
+def test_ascii_decode_holds_no_sample_list(tmp_path):
+    n = 512
+    pixels = (np.arange(n * n) % 251).astype(np.uint8)
+    path = tmp_path / "big.pgm"
+    path.write_bytes(b"P2\n%d %d\n255\n" % (n, n) + b" ".join(b"%d" % v for v in pixels))
+    decode = image_io._open(path)[1]
+    tracemalloc.start()
+    try:
+        img = decode()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(img.ravel(), pixels)
+    assert peak < 2**20  # 256 KiB of pixels; a list of the samples was 2 MiB more
 
 
 class TestSavePgm:
