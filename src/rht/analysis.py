@@ -6,15 +6,17 @@ column matching, and intensity-diagram rendering.
 
 The norm curve and the quasi-period checks are computed in exact integer
 arithmetic from one row of the ternary matrix power per divisor of n, and
-mu is only converted to a float at the edge.  Each row is multiplied by H
-over the column pairs (j, n - j) (_times_h): with the rounded cas table r,
-the sums and differences of a pair's entries meet the tables r[x] + r[-x]
-and r[x] - r[-x], and two products give the sums and differences of the
-product's pairs, so a power gathers and multiplies about half the entries
-of the direct product.  No partial sum of the k-th power's rows passes
-2*n**(k-1), so they are formed in float64 while 2*n**(k-1) <= 2**53 (every
-order up to 2**52 for k = 2), in int64 while 2*n**(k-1) < 2**63, and in
-Python ints beyond (_power_traces).
+mu is only converted to a float at the edge.  Each row stays in the basis
+of the column pairs (j, n - j) from its first gather to the last halving
+(_times_h): with the rounded cas table r, its pair sums and differences are
+gathered from the tables r[x] + r[-x] and r[x] - r[-x] (core._pair_split),
+and two products with the same tables give those of the product, so a
+power gathers and multiplies about half the entries of the direct product.
+The pair sum at an unpaired column (0, and n/2 for even n) is twice the
+entry, and each power halves it first.  No partial sum of the k-th power's
+rows passes 2*n**(k-1), so they are formed in float64 while
+2*n**(k-1) <= 2**53 (every order up to 2**52 for k = 2), in int64 while
+2*n**(k-1) < 2**63, and in Python ints beyond (_power_traces).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _mirror, _product_rows, _rounded_cas, _unit_orbits, build_rht_matrix
+from .core import _pair_split, _product_rows, _rounded_cas, _unit_orbits, build_rht_matrix
 from .transform2d import GrayImage
 
 __all__ = [
@@ -120,38 +122,35 @@ def n_norm(m) -> float:
     return float(np.linalg.norm(m)) / m.shape[0]
 
 
-def _times_h(p: np.ndarray, even: np.ndarray, odd: np.ndarray, times: int) -> np.ndarray:
-    """p @ H_n**times for rows p, taken over the column pairs (j, n - j).
+def _times_h(
+    a: np.ndarray, b: np.ndarray, even: np.ndarray, odd: np.ndarray, times: int
+) -> np.ndarray:
+    """p @ H_n**times for rows p given in the pair basis: the pair sums
+    a = p_j + p_-j and differences b = p_j - p_-j (mod n) at j = 0..n//2.
 
     For q = p @ H, x = j*l mod n and the tables even[x] = r[x] + r[-x] and
-    odd[x] = r[x] - r[-x], summing p_j r[jl] over j and -j (mod n) gives
+    odd[x] = r[x] - r[-x] (core._pair_split), summing p_j r[jl] over j and
+    -j (mod n) gives
         q_l + q_-l = sum over j <= n/2 of s_j * even[x],
-        q_l - q_-l = sum over j <= n/2 of d_j * odd[x],
-    with the pair sums s_j = p_j + p_-j and differences d_j = p_j - p_-j,
-    except that an unpaired column (j = -j: 0, and n/2 for even n) has
-    s_j = p_j (odd[x] = 0 there, so its d_j is never read).  So each power
-    takes two products over the paired product index (core._product_rows),
-    j and l in 0..n//2: about half the gathers and the flops of the direct
-    product.  The sums and differences of q are those of the next power,
-    once its unpaired sums q_l + q_l are halved, and the columns are formed
-    at the end as q_l, q_-l = (sum +- difference) / 2.  Every halving is
-    exact, as it halves twice an integer.
+        q_l - q_-l = sum over j <= n/2 of b_j * odd[x],
+    with s_j = a_j, except at an unpaired column (j = -j: 0, and n/2 for
+    even n), where a_j = 2p_j, s_j = p_j and odd[x] = 0.  So each power
+    halves the unpaired sums of a (in place) and takes two products over
+    the paired product index (core._product_rows), j and l in 0..n//2:
+    about half the gathers and the flops of the direct product.  They give
+    a and b of q, and the columns are formed at the end as
+    q_l, q_-l = (a_l +- b_l) / 2.  Every halving is exact, as it halves
+    twice an integer.
     """
-    n = p.shape[1]
+    n = len(even)
     h = (n - 1) // 2  # the pairs j = 1..h have two distinct columns
-    unpaired = slice(0, n // 2 + 1, n // 2) if n % 2 == 0 else slice(0, 1)
-    sums = p[:, : n // 2 + 1].copy()
-    diffs = sums.copy()
-    mirror = p[:, : n - h - 1 : -1]  # columns n-1, ..., n-h
-    sums[:, 1 : h + 1] += mirror
-    diffs[:, 1 : h + 1] -= mirror
-    for step in range(times):
-        if step:
-            sums, diffs = a, b
-            sums[:, unpaired] //= 2
+    width = n // 2 + 1
+    unpaired = slice(0, width, n // 2) if n % 2 == 0 else slice(0, 1)
+    for _ in range(times):
+        a[:, unpaired] //= 2
         blocks = [
-            (sums @ even.take(block).T, diffs @ odd.take(block).T)
-            for block in _product_rows(n, "paired")
+            (a @ even.take(block).T, b @ odd.take(block).T)
+            for block in _product_rows(n, range(width), width)
         ]
         a, b = (np.hstack(part) for part in zip(*blocks)) if len(blocks) > 1 else blocks[0]
     out = np.concatenate([a + b, a[:, h:0:-1] - b[:, h:0:-1]], axis=1)
@@ -173,13 +172,15 @@ def _power_traces(n: int, k: int) -> tuple:
     H**k[d*v, d*v] is H**k[d, d] for even k and H**k[d, d*v**2] for odd k, so
     T is one gather from the same rows.
 
-    Each row is multiplied by H over column pairs (_times_h), and no n x n
-    array is held.  The entries of H**m are bounded by M = n**(m-1), and the
-    pair sums and differences of its rows by 2M.  In the products that form
+    Row d of H is r[d*j], so its pair sums and differences are even[d*j]
+    and odd[d*j] at j = 0..n//2 (core._pair_split), gathered once and
+    multiplied by H k - 1 times in that basis (_times_h); no n x n array is
+    held.  The entries of H**m are bounded by M = n**(m-1), and the pair
+    sums and differences of its rows by 2M.  In the products that form
     those of H**k from those of H**(k-1), M = n**(k-2): each of the
-    h = (n-1)//2 paired terms is bounded by 4M and each unpaired term
-    (j = 0, and n/2 for even n) by 2M, so every partial sum is bounded by
-    2nM = 2*n**(k-1), and so are the sums before halving and the outputs.
+    h = (n-1)//2 paired terms is bounded by 4M and each halved unpaired
+    term (j = 0, and n/2 for even n) by 2M, so every partial sum is bounded
+    by 2nM = 2*n**(k-1), and so are the sums before halving and the outputs.
     So the rows are formed exactly in float64 while 2*n**(k-1) <= 2**53, in
     int64 while 2*n**(k-1) < 2**63, and in Python ints beyond that.
     """
@@ -187,14 +188,11 @@ def _power_traces(n: int, k: int) -> tuple:
         raise ValueError("order must be positive")
     bound = 2 * n ** (k - 1)
     dtype = np.float64 if bound <= 2**53 else np.int64 if bound < 2**63 else object
-    r = _rounded_cas(n).astype(dtype)
+    even, odd = _pair_split(_rounded_cas(n).astype(dtype))
     divisors, orbit_sizes, orbit, unit = _unit_orbits(n)
     rows = divisors % n
-    power = r[np.multiply.outer(rows, np.arange(n)) % n]
-    mirror = _mirror(r)
-    even, odd = r + mirror, r - mirror
-    if k > 1:
-        power = _times_h(power, even, odd, k - 1)
+    index = np.multiply.outer(rows, np.arange(n // 2 + 1)) % n
+    power = _times_h(even[index], odd[index], even, odd, k - 1)
     if dtype is np.float64:
         power = power.astype(np.int64)
     v2 = unit * unit % n if k % 2 else 1
@@ -296,12 +294,10 @@ def quasi_period_check(orders, k: int, epsilon) -> QuasiPeriodReport:
 
 def _bit_reversed(n: int) -> np.ndarray:
     bits = n.bit_length() - 1
+    k = np.arange(n, dtype=np.int64)
     rev = np.zeros(n, dtype=np.int64)
-    for k in range(n):
-        r = 0
-        for b in range(bits):
-            r = (r << 1) | ((k >> b) & 1)
-        rev[k] = r
+    for b in range(bits):
+        rev |= ((k >> b) & 1) << (bits - 1 - b)
     return rev
 
 

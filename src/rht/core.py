@@ -81,6 +81,14 @@ def _mirror(x: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.concatenate((x[lead + (slice(0, 1),)], x[lead + (slice(None, 0, -1),)]), axis=axis)
 
 
+def _pair_split(x: np.ndarray) -> tuple:
+    """(x + x[-i], x - x[-i]) over every i mod n, n = len(x): the sums and
+    differences of the index pairs (i, n - i).  At an unpaired index (0, and
+    n/2 for even n) the sum is twice the entry and the difference is 0."""
+    mirror = _mirror(x)
+    return x + mirror, x - mirror
+
+
 # Rows per block of the product index.  Wider blocks fall out of cache: on
 # a 2-core x86-64 host at orders 769-1024, the k = 2 products of
 # analysis._power_traces took 1.3x as long with 128 rows and 2x with 256 as
@@ -88,36 +96,30 @@ def _mirror(x: np.ndarray, axis: int = 0) -> np.ndarray:
 _ROW_BLOCK = 64
 
 
-def _product_rows(n: int, mode: str = "full"):
-    """Row blocks of the product index i*j mod n as int64 arrays.
+def _product_rows(n: int, rows: range, width: int):
+    """Row blocks of the product index i*j mod n as int64 arrays, over the
+    rows i in the range and the columns j = 0..width-1: range(n), n is the
+    full index, range(1, n, 2), n // 2 (n even) the odd block of the
+    even/odd split, and range(h + 1), h + 1 with h = n // 2 the paired
+    index, one column of each pair (j, n - j mod n).
 
-    Yields rows 0..63, 64..127, ... of the mode's rows (the last block is
-    shorter when 64 does not divide their count) over all of its columns:
-      full:   rows and columns 0..n-1;
-      odd:    (n even) rows i = 1, 3, ..., n-1 and columns 0..n/2-1, the
-              odd block of the even/odd split;
-      paired: rows and columns 0..n//2, one column of each pair
-              (j, n-j mod n).
-    The first block is reduced with one division per entry; each later one
-    is the block before plus 64*stride*j mod n, folded back below n, so no
-    other entry costs a division.  The fold is a minimum over the block
-    read as unsigned, where subtracting n wraps every value below n past
-    2**63: one pass fewer than subtracting n * (block >= n).  The update is
-    in place (a fresh block per step was 1.15x slower on the same host), so
-    a block is only valid until the generator advances: use or copy it
-    first.
+    Yields 64 rows at a time (the last block is shorter when 64 does not
+    divide their count).  The first block is reduced with one division per
+    entry; each later one is the block before plus 64*rows.step*j mod n,
+    folded back below n, so no other entry costs a division.  The fold is a
+    minimum over the block read as unsigned, where subtracting n wraps every
+    value below n past 2**63: one pass fewer than subtracting
+    n * (block >= n).  The update is in place (a fresh block per step was
+    1.15x slower on the same host), so a block is only valid until the
+    generator advances: use or copy it first.
     """
-    if mode == "odd":
-        i, j = np.arange(1, n, 2, dtype=np.int64), np.arange(n // 2, dtype=np.int64)
-    elif mode in ("full", "paired"):
-        i = j = np.arange(n if mode == "full" else n // 2 + 1, dtype=np.int64)
-    else:
-        raise ValueError(f"unknown product index mode {mode!r}")
+    i = np.arange(rows.start, rows.stop, rows.step, dtype=np.int64)
+    j = np.arange(width, dtype=np.int64)
     block = np.multiply.outer(i[:_ROW_BLOCK], j) % n
     yield block
     if len(i) <= _ROW_BLOCK:
         return
-    step = _ROW_BLOCK * (2 if mode == "odd" else 1) * j % n
+    step = _ROW_BLOCK * rows.step * j % n
     for start in range(_ROW_BLOCK, len(i), _ROW_BLOCK):
         block += step
         unsigned = block.view(np.uint64)
@@ -125,15 +127,13 @@ def _product_rows(n: int, mode: str = "full"):
         yield block[: len(i) - start]
 
 
-def _product_table(table: np.ndarray, odd: bool = False) -> np.ndarray:
-    """The n x n matrix table[i*j mod n] for a length-n table, or with
-    odd=True its odd block (_product_rows), filled one row block at a time
-    so no square index array is held."""
-    n = len(table)
-    size = n // 2 if odd else n
-    out = np.empty((size, size), dtype=table.dtype)
+def _product_table(table: np.ndarray, rows: range, width: int) -> np.ndarray:
+    """The matrix table[i*j mod n] over the rows i in the range and the
+    columns j = 0..width-1 (_product_rows), n = len(table), filled one row
+    block at a time so no index array of the whole matrix is held."""
+    out = np.empty((len(rows), width), dtype=table.dtype)
     start = 0
-    for block in _product_rows(n, "odd" if odd else "full"):
+    for block in _product_rows(len(table), rows, width):
         out[start : start + len(block)] = table.take(block)
         start += len(block)
     return out
@@ -172,8 +172,8 @@ def _split_orders(n: int) -> tuple:
 
 
 def _kernel_counts(r: np.ndarray) -> np.ndarray:
-    """Nonzeros per row of the odd block of r[i*j mod n] (the odd
-    _product_rows mode), r the rounded cas table of an even order n.
+    """Nonzeros per row of the odd block of r[i*j mod n] (_product_rows),
+    r the rounded cas table of an even order n.
 
     With g = gcd(i, n), i*j mod n runs over the multiples of g, each g
     times, as j runs over 0..n-1, so the whole row i holds
@@ -251,7 +251,8 @@ def _paired_plan(r: np.ndarray) -> tuple:
     """
     q = len(r)
     h = q // 2
-    code = 3 * r + _mirror(r) + 4
+    even, odd = _pair_split(r)
+    code = 2 * even + odd + 4  # 3*a + b + 4
     if (code == 4).any():
         raise AssertionError(f"kernel values r[x] = r[-x] = 0 at q={q}")
     offsets = _PAIR_KIND * h + (np.arange(9) < 4) * (4 * h + 1)
@@ -262,7 +263,7 @@ def _paired_plan(r: np.ndarray) -> tuple:
     start = 0
     # mode="wrap" (every index is already below q) lets take fill index
     # in place, where the default mode buffers out
-    for block in _product_rows(q, "paired"):
+    for block in _product_rows(q, range(h + 1), h + 1):
         stop = start + len(block)
         np.take(table, block, out=index[start:stop], mode="wrap")
         skip = 1 if start == 0 else 0  # output q - 0 is output 0
@@ -308,7 +309,9 @@ class FastPlan:
         # keeps clear of the rounding tie.
         r = _rounded_cas(order)
         levels, q = _split_orders(order)
-        odd_block = _product_table(r.astype(np.int8), odd=True) if levels else None
+        odd_block = None
+        if levels:
+            odd_block = _product_table(r.astype(np.int8), range(1, order, 2), order // 2)
         self._levels = tuple(
             _row_sum_plan(odd_block[: m // 2, :: order // m], _kernel_counts(r[:: order // m]))
             for m in levels
@@ -416,7 +419,7 @@ def build_dht_matrix(
     """
     if n < 1:
         raise ValueError("order must be positive")
-    h = _product_table(_cas_table(n))
+    h = _product_table(_cas_table(n), range(n), n)
     if normalization is Normalization.SYMMETRIC:
         h /= math.sqrt(n)
     return h
@@ -431,7 +434,7 @@ def build_rht_matrix(n: int) -> TernaryMatrix:
     """
     if n < 1:
         raise ValueError("order must be positive")
-    return TernaryMatrix(n, _product_table(_rounded_cas(n)))
+    return TernaryMatrix(n, _product_table(_rounded_cas(n), range(n), n))
 
 
 def rounded_transform(n: int, normalization: Normalization) -> ScaledTransform:
@@ -519,8 +522,5 @@ def fourier_estimate(s: Spectrum) -> np.ndarray:
     the DFT of the original signal; fed a rounded spectrum it is the
     fast rough estimate.
     """
-    v = s.coefficients
-    rev = _mirror(v)
-    even = (v + rev) / 2.0
-    odd = (v - rev) / 2.0
-    return even - 1j * odd
+    even, odd = _pair_split(s.coefficients)
+    return even / 2.0 - 1j * (odd / 2.0)

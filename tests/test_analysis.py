@@ -143,16 +143,15 @@ class TestExactCurve:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 127, 128, 129, 130])
     @pytest.mark.parametrize("dtype", [np.float64, np.int64, object])
     def test_paired_products_are_the_matrix_power(self, n, dtype):
-        r = core._rounded_cas(n)
-        mirror = np.concatenate((r[:1], r[:0:-1]))
-        even, odd = (r + mirror).astype(dtype), (r - mirror).astype(dtype)
+        even, odd = core._pair_split(core._rounded_cas(n).astype(dtype))
         h = build_rht_matrix(n).entries
         want = np.random.default_rng(n).integers(-1000, 1001, (3, n))
         p = want.astype(dtype)
-        for times in (1, 3):
+        for times in (0, 1, 3):
             for _ in range(times):
                 want = want @ h
-            got = analysis._times_h(p, even, odd, times)
+            a, b = (part[: n // 2 + 1].T for part in core._pair_split(p.T))
+            got = analysis._times_h(a, b, even, odd, times)
             assert got.dtype == np.dtype(dtype) and np.array_equal(got, want), times
             p = got
 
@@ -348,11 +347,13 @@ class TestHadamard:
             assert set(np.unique(w)) == {-1, 1}
 
     def test_dyadic_is_column_reindexing_of_natural(self):
-        w = walsh_matrix(8)
-        d = walsh_matrix(8, "dyadic")
-        cols = {tuple(c) for c in w.T.tolist()}
-        assert {tuple(c) for c in d.T.tolist()} == cols
-        assert not np.array_equal(d, w)
+        for bits in range(13):
+            n = 1 << bits
+            rev = [int(format(k, f"0{bits}b")[::-1], 2) for k in range(n)]
+            assert analysis._bit_reversed(n).tolist() == rev, n
+            if n <= 1024:  # the 4096 x 4096 int64 matrix alone is 128 MiB
+                assert np.array_equal(walsh_matrix(n, "dyadic"), walsh_matrix(n)[:, rev]), n
+        assert not np.array_equal(walsh_matrix(8, "dyadic"), walsh_matrix(8))
 
     def test_sequency_rows_sorted_by_sign_changes(self):
         s = walsh_matrix(16, "sequency")

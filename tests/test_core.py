@@ -276,24 +276,23 @@ def test_unit_orbits_map_every_index_to_a_divisor_times_a_unit(n):
 )
 def test_product_rows_are_the_product_index_mod_n(n):
     # a block is updated in place when the generator advances, so copy it
-    blocks = [block.copy() for block in core._product_rows(n)]
+    blocks = [block.copy() for block in core._product_rows(n, range(n), n)]
     assert [len(b) for b in blocks[:-1]] == [64] * (len(blocks) - 1)
     assert all(b.dtype == np.int64 for b in blocks)
     a = np.arange(n)
     assert np.array_equal(np.concatenate(blocks), np.multiply.outer(a, a) % n)
+    if n % 2 == 0:  # the odd block: rows 1, 3, ..., n - 1, columns 0..n/2 - 1
+        blocks = [block.copy() for block in core._product_rows(n, range(1, n, 2), n // 2)]
+        want = np.multiply.outer(a[1::2], a[: n // 2]) % n
+        assert np.array_equal(np.concatenate(blocks), want)
 
 
 @pytest.mark.parametrize("n", list(range(1, 131)) + [255, 256, 257, 1021, 1024])
 def test_paired_product_rows_are_the_half_index_mod_n(n):
-    blocks = [block.copy() for block in core._product_rows(n, "paired")]
+    blocks = [block.copy() for block in core._product_rows(n, range(n // 2 + 1), n // 2 + 1)]
     assert [len(b) for b in blocks[:-1]] == [64] * (len(blocks) - 1)
     a = np.arange(n // 2 + 1)
     assert np.array_equal(np.concatenate(blocks), np.multiply.outer(a, a) % n)
-
-
-def test_unknown_product_index_mode_rejected():
-    with pytest.raises(ValueError, match="mode"):
-        next(core._product_rows(8, "half"))
 
 
 def test_rht_matrix_build_holds_no_square_index_array():
