@@ -271,6 +271,19 @@ def test_unit_orbits_map_every_index_to_a_divisor_times_a_unit(n):
     assert sizes.tolist() == np.bincount(orbit, minlength=len(divisors)).tolist()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
+def test_pair_split_is_the_sum_and_difference_at_the_negated_index(n):
+    # two columns, so the split must run along the first axis only
+    x = np.random.default_rng(n).integers(-9, 10, size=(n, 2))
+    negated = x[(-np.arange(n)) % n]
+    even, odd = core._pair_split(x)
+    assert np.array_equal(even, x + negated)
+    assert np.array_equal(odd, x - negated)
+    unpaired = [0] + ([n // 2] if n % 2 == 0 else [])
+    assert np.array_equal(even[unpaired], 2 * x[unpaired])
+    assert not odd[unpaired].any()
+
+
 @pytest.mark.parametrize(
     "n", list(range(1, 131)) + [255, 256, 257, 511, 512, 513, 1021, 1024]
 )
