@@ -98,10 +98,10 @@ _ROW_BLOCK = 64
 
 def _product_rows(n: int, rows: range, width: int):
     """Row blocks of the product index i*j mod n as int64 arrays, over the
-    rows i in the range and the columns j = 0..width-1: range(n), n is the
-    full index, range(1, n, 2), n // 2 (n even) the odd block of the
-    even/odd split, and range(h + 1), h + 1 with h = n // 2 the paired
-    index, one column of each pair (j, n - j mod n).
+    rows i in the range and the columns j = 0..width-1: range(n // 2 + 1)
+    at width n or n // 2 + 1 (one column of each pair (j, n - j mod n)) for
+    _product_table and analysis._power_traces, and range(1, n, 2) at width
+    n // 2 (n even), the odd block of the even/odd split (_level_kernel).
 
     Yields 64 rows at a time (the last block is shorter when 64 does not
     divide their count).  The first block is reduced with one division per
@@ -127,15 +127,24 @@ def _product_rows(n: int, rows: range, width: int):
         yield block[: len(i) - start]
 
 
-def _product_table(table: np.ndarray, rows: range, width: int) -> np.ndarray:
-    """The matrix table[i*j mod n] over the rows i in the range and the
-    columns j = 0..width-1 (_product_rows), n = len(table), filled one row
-    block at a time so no index array of the whole matrix is held."""
-    out = np.empty((len(rows), width), dtype=table.dtype)
+def _product_table(table: np.ndarray, width: int) -> np.ndarray:
+    """The matrix table[i*j mod n] over the rows i = 0..n-1 and the columns
+    j = 0..width-1, n = len(table).  Only the rows i <= n//2 of the product
+    index are formed (_product_rows), a block at a time, so no index array
+    of the whole matrix is held; row n - i is row i of the mirrored table."""
+    n = len(table)
+    mirrored = _mirror(table)
+    out = np.empty((n, width), dtype=table.dtype)
+    back = out[::-1]  # back[i - 1] is row n - i
     start = 0
-    for block in _product_rows(len(table), rows, width):
-        out[start : start + len(block)] = table.take(block)
-        start += len(block)
+    # mode="wrap" (every index is already below n) lets take fill out in
+    # place, where the default mode buffers out
+    for block in _product_rows(n, range(n // 2 + 1), width):
+        stop = start + len(block)
+        np.take(table, block, out=out[start:stop], mode="wrap")
+        skip = 1 if start == 0 else 0  # row n - 0 is row 0
+        np.take(mirrored, block[skip:], out=back[start + skip - 1 : stop - 1], mode="wrap")
+        start = stop
     return out
 
 
@@ -189,36 +198,37 @@ def _kernel_counts(r: np.ndarray) -> np.ndarray:
     return g * per_divisor[g] // 2
 
 
-def _row_sum_plan(block: np.ndarray, counts: np.ndarray) -> tuple:
-    """Signed column indices (j for a +1, width + j for a -1) and row starts
-    of a ternary block with the given nonzeros per row, so row i of
-    block @ x sums concatenate([x, -x]) over cols[starts[i]:starts[i + 1]].
+def _level_kernel(r: np.ndarray) -> tuple:
+    """Signed columns (k for a +1, m/2 + k for a -1) and row starts of the
+    odd block G[a, k] = r[(2a+1)*k mod m], k < m/2, r the rounded cas table
+    of an even order m, so row a of G @ x sums concatenate([x, -x]) over
+    cols[starts[a]:starts[a + 1]] (_row_sums).  No row is empty, which
+    reduceat could not sum: column 0 reads r[0] = 1.
 
-    Rows are selected 64 at a time straight into a column array sized by
-    the counts; a row block whose nonzeros disagree with them fails the
-    slice assignment.
+    A code table gives each value of r the offset of its term, -m for a 0
+    (negative for every k < m/2), and is read over the product index 64 rows
+    at a time into a column array sized by _kernel_counts; a row block whose
+    nonzeros disagree with them fails the slice assignment.
     """
-    if not counts.all():
-        raise AssertionError("empty kernel row: reduceat cannot sum it")
+    m = len(r)
+    counts = _kernel_counts(r)
     ends = np.cumsum(counts)
     cols = np.empty(ends[-1], dtype=np.intp)
-    # 16-bit column indices while 2 * width - 1 fits (np.where on int8
-    # blocks was about 2x slower into int64 at width 2048, and 3x slower
-    # into uint8 at width 128); the assignment widens them to intp
-    width = block.shape[1]
-    j = np.arange(width, dtype=np.uint16 if width <= 2**15 else np.intp)
-    negative = j + width
-    lo = 0
-    for start in range(0, len(block), _ROW_BLOCK):
-        rows = block[start : start + _ROW_BLOCK]
-        hi = ends[start + len(rows) - 1]
-        cols[lo:hi] = np.where(rows < 0, negative, j)[rows != 0]
+    code = np.array((-m, 0, m // 2), dtype=np.min_scalar_type(-m)).take(r)
+    k = np.arange(m // 2, dtype=code.dtype)
+    lo, row = 0, -1
+    for block in _product_rows(m, range(1, m, 2), m // 2):
+        terms = code.take(block)
+        terms += k
+        row += len(block)
+        hi = ends[row]
+        cols[lo:hi] = terms[terms >= 0]
         lo = hi
     return cols, ends - counts
 
 
 def _row_sums(rows: tuple, x: np.ndarray) -> np.ndarray:
-    """kernel @ x from a _row_sum_plan, using additions and sign flips only."""
+    """kernel @ x from _level_kernel or _paired_plan: additions and sign flips only."""
     cols, starts = rows
     return np.add.reduceat(np.concatenate([x, -x]).take(cols), starts)
 
@@ -247,7 +257,8 @@ def _paired_plan(r: np.ndarray) -> tuple:
     max(|sin t|, |cos t|) >= 1; column j = 0 has x = 0, whose code (1, 1)
     reads s_0 = x_0.  Output q - i reads r[-x] where output i reads r[x],
     so all rows come from gathers over rows i = 0..h of the paired product
-    index (_product_rows).
+    index (_product_table): a code table of the pair kinds and signs is read
+    there, plus the pair number j.
     """
     q = len(r)
     h = q // 2
@@ -256,19 +267,7 @@ def _paired_plan(r: np.ndarray) -> tuple:
     if (code == 4).any():
         raise AssertionError(f"kernel values r[x] = r[-x] = 0 at q={q}")
     offsets = _PAIR_KIND * h + (np.arange(9) < 4) * (4 * h + 1)
-    table = offsets.take(code)
-    mirrored = _mirror(table)
-    index = np.empty((q, h + 1), dtype=np.intp)
-    back = index[::-1]  # back[i - 1] is output q - i
-    start = 0
-    # mode="wrap" (every index is already below q) lets take fill index
-    # in place, where the default mode buffers out
-    for block in _product_rows(q, range(h + 1), h + 1):
-        stop = start + len(block)
-        np.take(table, block, out=index[start:stop], mode="wrap")
-        skip = 1 if start == 0 else 0  # output q - 0 is output 0
-        np.take(mirrored, block[skip:], out=back[start + skip - 1 : stop - 1], mode="wrap")
-        start = stop
+    index = _product_table(offsets.take(code), h + 1)
     index += np.arange(h + 1)
     return index.ravel(), np.arange(0, index.size, h + 1)
 
@@ -286,8 +285,10 @@ class FastPlan:
     outputs are the odd block G[m, k] = h(2m+1, k), k < n/2, applied to
     (low - high).  The plan peels factors of two this way down to the odd
     part q of n (_split_orders).  It holds the signed row-sum kernel of G
-    at each level, and at the bottom that of the order-q transform over
-    the column pairs (j, q - j) (_paired_plan).
+    at each level (_level_kernel), and at the bottom that of the order-q
+    transform over the column pairs (j, q - j) (_paired_plan).  Both are a
+    small code table read over the product index i*j mod n plus the column
+    number.
 
     The additions a run takes depend on the plan alone, so they are counted
     here, once: a butterfly stage of order m takes m, the pair terms h sums
@@ -302,20 +303,12 @@ class FastPlan:
         if order < 1:
             raise ValueError(f"order must be positive, got {order}")
         self.order = order
-        # The odd block of a level m is the first m/2 rows of the odd block
-        # of order n at its columns k*n/m, since both hold r_m[(2a+1)*k mod m]
-        # = r[(2a+1)*k*n/m mod n].  So one gather serves every level.  The
-        # tables r_m are r[::n/m]: the same angles, which the tie guard on r
-        # keeps clear of the rounding tie.
+        # The odd block of a level m reads r_m[(2a+1)*k mod m], and r_m is
+        # r[::n/m]: the same angles, which the tie guard on r keeps clear of
+        # the rounding tie.
         r = _rounded_cas(order)
         levels, q = _split_orders(order)
-        odd_block = None
-        if levels:
-            odd_block = _product_table(r.astype(np.int8), range(1, order, 2), order // 2)
-        self._levels = tuple(
-            _row_sum_plan(odd_block[: m // 2, :: order // m], _kernel_counts(r[:: order // m]))
-            for m in levels
-        )
+        self._levels = tuple(_level_kernel(r[:: order // m]) for m in levels)
         self._base = _paired_plan(r[:: order // q])
         self._additions = 2 * (order - q) + (q - 1) + sum(
             len(cols) - len(starts) for cols, starts in (*self._levels, self._base)
@@ -419,7 +412,7 @@ def build_dht_matrix(
     """
     if n < 1:
         raise ValueError("order must be positive")
-    h = _product_table(_cas_table(n), range(n), n)
+    h = _product_table(_cas_table(n), n)
     if normalization is Normalization.SYMMETRIC:
         h /= math.sqrt(n)
     return h
@@ -434,7 +427,7 @@ def build_rht_matrix(n: int) -> TernaryMatrix:
     """
     if n < 1:
         raise ValueError("order must be positive")
-    return TernaryMatrix(n, _product_table(_rounded_cas(n), range(n), n))
+    return TernaryMatrix(n, _product_table(_rounded_cas(n), n))
 
 
 def rounded_transform(n: int, normalization: Normalization) -> ScaledTransform:

@@ -308,6 +308,32 @@ def test_paired_product_rows_are_the_half_index_mod_n(n):
     assert np.array_equal(np.concatenate(blocks), np.multiply.outer(a, a) % n)
 
 
+@pytest.mark.parametrize("n", range(1, 131))
+def test_product_table_is_the_table_at_the_product_index(n):
+    # rows n//2 + 1.. come from the mirrored table, at both parities of n
+    tables = [np.random.default_rng(n).integers(-99, 100, size=n), core._cas_table(n)]
+    for table in tables:
+        for width in (n, n // 2 + 1):
+            want = table[np.multiply.outer(np.arange(n), np.arange(width)) % n]
+            got = core._product_table(table, width)
+            assert got.dtype == table.dtype
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m", list(range(2, 301, 2)) + [1000, 2048, 4096])
+def test_level_kernel_reads_the_signed_nonzeros_of_the_odd_block(m):
+    r = core._rounded_cas(m)
+    k = np.arange(m // 2)
+    block = r[np.multiply.outer(np.arange(1, m, 2), k) % m]
+    signed = np.where(block < 0, m // 2 + k, k)
+    counts = np.count_nonzero(block, axis=1)
+    cols, starts = core._level_kernel(r)
+    assert cols.dtype == np.intp
+    assert np.array_equal(cols, signed[block != 0])
+    assert np.array_equal(starts, np.cumsum(counts) - counts)
+    assert counts.all()  # reduceat cannot sum an empty row
+
+
 def test_rht_matrix_build_holds_no_square_index_array():
     tracemalloc.start()
     try:
