@@ -13,10 +13,12 @@ gathered from the tables r[x] + r[-x] and r[x] - r[-x] (core._pair_split),
 and two products with the same tables give those of the product, so a
 power gathers and multiplies about half the entries of the direct product.
 The pair sum at an unpaired column (0, and n/2 for even n) is twice the
-entry, and each power halves it first.  No partial sum of the k-th power's
-rows passes 2*n**(k-1), so they are formed in float64 while
-2*n**(k-1) <= 2**53 (every order up to 2**52 for k = 2), in int64 while
-2*n**(k-1) < 2**63, and in Python ints beyond (_power_traces).
+entry, and each power halves it first.  The last sums and differences give
+twice the rows of the power, which are halved once, as integers.  No
+partial sum of the k-th power's rows passes 2*n**(k-1), so they are formed
+in float64 while 2*n**(k-1) <= 2**53 (every order up to 2**52 for k = 2),
+in int64 while 2*n**(k-1) < 2**63, and in Python ints beyond
+(_power_traces).
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _pair_split, _product_rows, _rounded_cas, _unit_orbits, build_rht_matrix
+from .core import (
+    _pair_split, _product_rows, _round_half_away, _rounded_cas, _unit_orbits, build_rht_matrix
+)
 from .transform2d import GrayImage
 
 __all__ = [
@@ -138,9 +142,9 @@ def _times_h(
     halves the unpaired sums of a (in place) and takes two products over
     the paired product index (core._product_rows), j and l in 0..n//2:
     about half the gathers and the flops of the direct product.  They give
-    a and b of q, and the columns are formed at the end as
-    q_l, q_-l = (a_l +- b_l) / 2.  Every halving is exact, as it halves
-    twice an integer.
+    a and b of q, and the columns are returned as a_l +- b_l = 2q_l, 2q_-l:
+    twice the rows, left for the caller to halve.  Every halving of a is
+    exact, as it halves twice an integer.
     """
     n = len(even)
     h = (n - 1) // 2  # the pairs j = 1..h have two distinct columns
@@ -153,12 +157,7 @@ def _times_h(
             for block in _product_rows(n, range(width), width)
         ]
         a, b = (np.hstack(part) for part in zip(*blocks)) if len(blocks) > 1 else blocks[0]
-    out = np.concatenate([a + b, a[:, h:0:-1] - b[:, h:0:-1]], axis=1)
-    if out.dtype == np.float64:
-        out *= 0.5  # exact; a float floor division took 20x as long at n = 1024
-    else:
-        out >>= 1
-    return out
+    return np.concatenate([a + b, a[:, h:0:-1] - b[:, h:0:-1]], axis=1)
 
 
 def _power_traces(n: int, k: int) -> tuple:
@@ -180,9 +179,10 @@ def _power_traces(n: int, k: int) -> tuple:
     those of H**k from those of H**(k-1), M = n**(k-2): each of the
     h = (n-1)//2 paired terms is bounded by 4M and each halved unpaired
     term (j = 0, and n/2 for even n) by 2M, so every partial sum is bounded
-    by 2nM = 2*n**(k-1), and so are the sums before halving and the outputs.
-    So the rows are formed exactly in float64 while 2*n**(k-1) <= 2**53, in
-    int64 while 2*n**(k-1) < 2**63, and in Python ints beyond that.
+    by 2nM = 2*n**(k-1), and so are the doubled rows a +- b that _times_h
+    returns.  So the rows are formed exactly in float64 while
+    2*n**(k-1) <= 2**53, in int64 while 2*n**(k-1) < 2**63, and in Python
+    ints beyond that, and halved once, in int64 or Python ints.
     """
     if n < 1:
         raise ValueError("order must be positive")
@@ -195,6 +195,7 @@ def _power_traces(n: int, k: int) -> tuple:
     power = _times_h(even[index], odd[index], even, odd, k - 1)
     if dtype is np.float64:
         power = power.astype(np.int64)
+    power >>= 1  # exact: _times_h returns twice the rows
     v2 = unit * unit % n if k % 2 else 1
     trace = int(power[orbit, rows[orbit] * v2 % n].sum())
     # each row sum fits int64 when n * max|entry|**2 does; else Python ints
@@ -377,7 +378,7 @@ def intensity_diagram(
         raise ValueError("intensity diagram needs a square matrix")
     n = m.shape[0]
     if mode == "value":
-        gray = np.sign(m + 1.0) * np.floor(np.abs(m + 1.0) * 127.5 + 0.5)
+        gray = _round_half_away((m + 1.0) * 127.5)
     elif mode == "magnitude":
         mag = np.abs(m)
         off_diag = mag.copy()
@@ -386,7 +387,7 @@ def intensity_diagram(
         if peak == 0.0:
             gray = np.where(mag == 0.0, 255.0, 0.0)
         else:
-            gray = np.floor(255.0 * (1.0 - mag / peak) + 0.5)
+            gray = _round_half_away(255.0 * np.maximum(1.0 - mag / peak, 0.0))
         if omit_diagonal:
             np.fill_diagonal(gray, 255.0)
     else:

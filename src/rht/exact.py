@@ -16,7 +16,7 @@ verification primes) is a float64 product over blocks of at most _BLOCK
 entries, and each checks that its sums stay below 2**53, so every machine
 product is exact.  Python integers are built once per entry, from bytes;
 only the entries that fix the denominator, and the rare ones the digit test
-cannot decide, go through Python-int arithmetic.
+does not accept, go through Python-int arithmetic.
 """
 
 from __future__ import annotations
@@ -113,9 +113,11 @@ def _gj_solve_mod(m: np.ndarray, rhs: np.ndarray, p: int):
     mod p.
 
     Only the columns from the pivot on are updated: those before it are
-    already reduced.  Reduction is deferred: entries grow by at most p**2
-    per pivot and are folded back every 512 pivots, staying far below int64
-    overflow.
+    already reduced.  Reduction is deferred: entries start in [0, p), the
+    pivot row is replaced by a reduced row, and each pivot subtracts a
+    product of two residues below p, so entries stay in [-n*(p-1)**2, p).
+    With p < 2**20 that fits int64 for every n < 2**23, past any matrix
+    that fits in memory.
     """
     n = m.shape[0]
     a = np.concatenate([np.mod(m, p), np.mod(rhs, p)], axis=1)
@@ -132,8 +134,6 @@ def _gj_solve_mod(m: np.ndarray, rhs: np.ndarray, p: int):
         f = np.mod(a[:, c], p)
         f[c] = 0
         a[:, c:] -= np.outer(f, pivrow)
-        if (c & 511) == 511:
-            np.mod(a, p, out=a)
     return np.mod(a[:, n:], p)
 
 
@@ -214,14 +214,14 @@ def _den_toeplitz(den: int, p: int, d: int) -> np.ndarray:
     return np.where(lag >= 0, dd[np.maximum(lag, 0)], 0.0)
 
 
-def _clear(toeplitz: np.ndarray, block: np.ndarray, p: int, table):
+def _clear(toeplitz: np.ndarray, block: np.ndarray, p: int):
     """Clear each column x of a (d, B) base-p digit block by den.
 
     Returns the base-p digits of r = den * x mod p**d (den is the one behind
-    ``toeplitz``), the mask of the entries _reconstruct accepts,
-    r <= cap or r >= p**d - cap, and the mask of those read as r - p**d.
-    The top two digits decide all but the entries in the band around
-    +-cap, whose r is then formed as a Python int.
+    ``toeplitz``), the mask of the entries whose top two digits show that
+    _reconstruct accepts them, r <= cap or r >= p**d - cap, and the mask of
+    those read as r - p**d.  Those digits decide all but the entries in the
+    band around +-cap, which are left undecided (not ok) for ``place``.
     """
     d = len(block)
     modulus = p**d
@@ -236,12 +236,7 @@ def _clear(toeplitz: np.ndarray, block: np.ndarray, p: int, table):
         row -= carry * p
     top = low[-1] * p + low[-2]
     negative = top > hi
-    ok = negative | (top < lo)
-    band = np.flatnonzero((top == lo) | (top == hi))
-    for j, r in zip(band, _digits_to_ints(low[:, band], table)):
-        negative[j] = r >= modulus - cap
-        ok[j] = negative[j] or r <= cap
-    return low, ok, negative
+    return low, negative | (top < lo), negative
 
 
 def _reconstruct(digits: list, n: int, p: int):
@@ -252,12 +247,13 @@ def _reconstruct(digits: list, n: int, p: int):
 
     Entries are walked in order and each is cleared by the running common
     denominator den: den * x mod p**d, lifted symmetrically, is accepted as
-    the numerator when at most cap.  The first column, which fixes the
-    denominator, goes through Python ints; later entries are cleared in
-    digit space a block at a time, and their top two digits decide the
-    test, leaving Python ints to the entries in the band around +-cap.  An
-    entry that does not clear is reconstructed on its own and widens den to
-    the lcm; the entries before each widening are rescaled to the final
+    the numerator when at most cap.  ``place`` is that rule in Python ints.
+    The first column, which fixes the denominator, goes through it; later
+    entries are cleared in digit space a block at a time (_clear), and the
+    first one their top two digits do not accept (it fails the test, or
+    lies in the band around +-cap) goes through ``place`` too.  An entry
+    that ``place`` does not clear is reconstructed on its own and widens den
+    to the lcm; the entries before each widening are rescaled to the final
     denominator at the end, one slice per widening.  Acceptance demands
     _SLACK_BITS of headroom below the modulus, so a wrapped (garbage)
     numerator slips through with probability about 2**-_SLACK_BITS and is
@@ -301,7 +297,7 @@ def _reconstruct(digits: list, n: int, p: int):
         block = gather(start, start + _BLOCK)
         if toeplitz_den != den:
             toeplitz, toeplitz_den = _den_toeplitz(den, p, d), den
-        low, ok, negative = _clear(toeplitz, block, p, table)
+        low, ok, negative = _clear(toeplitz, block, p)
         run = len(ok) if ok.all() else int(np.argmin(ok))
         nums += _digits_to_ints(low[:, :run], table, negative[:run])
         start += run

@@ -200,7 +200,7 @@ def save_pgm(img, path, quantize: bool = False) -> None:
         if hi == lo:
             out = np.zeros_like(pixels)
         else:
-            out = np.floor((pixels - lo) * (255.0 / (hi - lo)) + 0.5)
+            out = _round_half_away((pixels - lo) * (255.0 / (hi - lo)))
     h, w = out.shape
     payload = out.astype(np.uint8).tobytes()
     Path(path).write_bytes(b"P5\n%d %d\n255\n" % (w, h) + payload)

@@ -253,21 +253,83 @@ def test_digit_space_clearing_matches_python_int_rule(p, d, den):
     block = np.array([[x // p**i % p for x in xs] for i in range(d)], dtype=np.float64)
 
     table = exact._limb_table(p, d)
-    low, ok, negative = exact._clear(exact._den_toeplitz(den, p, d), block, p, table)
+    low, ok, negative = exact._clear(exact._den_toeplitz(den, p, d), block, p)
     got = exact._digits_to_ints(low[:, ok], table, negative[ok])
 
+    top = low[-1] * p + low[-2]
+    band = (top == lo) | (top == hi)
+    assert np.count_nonzero(band) >= 6  # the band was exercised
+    assert not ok[band].any()  # left undecided, for _reconstruct's place
     want_ok, want = [], []
-    for x in xs:
+    for x, undecided in zip(xs, band):
         r = x * den % modulus
         if r > modulus // 2:
             r -= modulus
-        want_ok.append(abs(r) <= cap)
-        if abs(r) <= cap:
+        want_ok.append(abs(r) <= cap and not undecided)
+        if want_ok[-1]:
             want.append(r)
     assert ok.tolist() == want_ok
     assert got == want
-    top = low[-1] * p + low[-2]
-    assert np.count_nonzero((top == lo) | (top == hi)) >= 6  # the band was exercised
+
+
+def _python_int_reconstruction(xs, modulus):
+    """_reconstruct's rule on each entry in turn, with Python ints only."""
+    cap = (modulus // 2) >> exact._SLACK_BITS
+    bound = math.isqrt((modulus - 1) // 2)
+    nums, den = [], 1
+    for x in xs:
+        r = x * den % modulus
+        r = r - modulus if r > modulus // 2 else r
+        if abs(r) > cap:
+            rec = exact._rational_reconstruct(x, modulus, bound)
+            if rec is None:
+                return None
+            num, de = rec
+            wider = den * de // math.gcd(den, de)
+            nums = [v * (wider // den) for v in nums]
+            den = wider
+            r = num * (den // de)
+        nums.append(r)
+    return nums, den
+
+
+def test_band_entries_are_placed_by_the_python_int_rule():
+    # after the first column every entry's top two digits lie in the band
+    # around +-cap, so each goes through place rather than _clear's mask
+    p, d, den, n = 1048573, 6, 3**20 + 2, 4
+    modulus = p**d
+    cap = (modulus // 2) >> exact._SLACK_BITS
+    unit = p ** (d - 2)
+    lo, hi = cap // unit, (modulus - cap) // unit
+    inv_den = pow(den, -1, modulus)
+    first = [inv_den, 0, 5, modulus - 7]  # 1/den fixes den; then 0, 5, -7 over den
+    targets = [lo * unit, cap, -cap, (hi + 1) * unit - 1 - modulus] * 2
+    xs = first + [t * inv_den % modulus for t in targets]
+    assert {(x * den % modulus) // unit for x in xs[n:]} == {lo, hi}
+
+    def digits(values):
+        return [np.array([x // p**i % p for x in values], dtype=np.int32) for i in range(d)]
+
+    nums, got_den = exact._reconstruct(digits(xs), n, p)
+    assert got_den == den and nums.tolist() == [1, 0, 5 * den, -7 * den] + targets
+    assert (nums.tolist(), got_den) == _python_int_reconstruction(xs, modulus)
+    # a band entry past cap does not clear: it is reconstructed and widens den
+    beyond = (lo + 1) * unit - 1
+    more = xs + [beyond * inv_den % modulus] * n
+    nums, got_den = exact._reconstruct(digits(more), n, p)
+    want = _python_int_reconstruction(more, modulus)
+    assert got_den > den and (nums.tolist(), got_den) == want
+
+
+def test_modular_solve_runs_past_512_pivots_without_folding():
+    # entries stay in [-n * (p - 1)**2, p): int64 for every n < 2**23
+    rng = np.random.default_rng(520)
+    m = rng.integers(-50, 51, (520, 520))
+    rhs = rng.integers(-50, 51, (520, 3))
+    p = next(exact._primes_below(exact._PRIME_CEILING))
+    x = exact._gj_solve_mod(m, rhs, p)
+    assert x is not None and x.min() >= 0 and x.max() < p
+    assert not np.mod(m @ x - rhs, p).any()
 
 
 def test_digits_convert_to_python_ints_with_sign():

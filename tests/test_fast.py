@@ -143,6 +143,20 @@ def test_fast_direct_and_dense_products_agree_at_sampled_orders(n):
     _assert_fast_direct_dense_agree(n, rng.integers(-(2**31), 2**31 + 1, n))
 
 
+@pytest.mark.parametrize("n", [999, 1000, 1024])
+def test_fast_direct_and_dense_products_agree_at_the_documented_bound(n):
+    # apply_direct is exact while n * max|v| < 2**53: take every |v_j| at the edge
+    top = (2**53 - 1) // n
+    row = build_rht_matrix(n).entries[1]
+    for signs in (
+        np.ones(n, dtype=np.int64),
+        (-1) ** np.arange(n),
+        np.random.default_rng(n).choice([-1, 1], n),
+        np.where(row < 0, -1, 1),  # output 1 sums every term at full size
+    ):
+        _assert_fast_direct_dense_agree(n, top * signs)
+
+
 def test_fast_direct_and_dense_products_agree_at_every_odd_order_to_301():
     # the whole transform is the paired odd-part kernel; the extremes
     # +-2**31 sit in a pair sum and a pair difference
