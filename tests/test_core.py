@@ -356,3 +356,15 @@ def test_rounded_transform_holds_no_square_matrix():
     # the plan of 1000 = 8 * 125 peaks near 2.4 MiB; the n x n int64
     # matrix alone would be 7.6 MiB, and building it peaked at 22 MiB
     assert peak < 4 * 2**20
+
+
+def test_odd_order_transform_holds_half_the_pair_index():
+    tracemalloc.start()
+    try:
+        rounded_transform(999, Normalization.SYMMETRIC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2.45 MiB with the index rows 0..499 of the odd part; all 999 rows
+    # peaked at 4.36 MiB
+    assert peak < 3 * 2**20

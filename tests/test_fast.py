@@ -195,6 +195,20 @@ def test_odd_orders_take_q_minus_one_times_q_plus_two_over_two_additions():
     assert {q: count_model(q).additions for q in pinned} == pinned
 
 
+@pytest.mark.parametrize("q", list(range(1, 302, 2)) + [999, 2047, 4095])
+def test_odd_part_kernel_holds_half_the_rows(q):
+    # rows i and q - i share one index row, read over swapped pair terms;
+    # the back kernel is rows 1..h of the front one
+    p = plan(q)
+    (cols, starts), (back_cols, back_starts) = p._base
+    h = q // 2
+    assert cols.shape == ((h + 1) ** 2,)
+    assert np.array_equal(starts, np.arange(0, cols.size, h + 1))
+    assert np.array_equal(back_cols, cols[h + 1 :])
+    assert np.array_equal(back_starts, starts[:-1])
+    assert p._additions == count_model(q).additions
+
+
 # the angles 2*pi*2/5 and 2*pi*3/5 of order n, and at n = 20 also the
 # angles half a turn on, whose rounded values the odd block negates
 @pytest.mark.parametrize("n,zeroed", [(5, [2, 3]), (20, [2, 8, 12, 18])])
@@ -226,6 +240,18 @@ def test_plan_build_holds_no_whole_level_index():
     # block of the whole order across the levels peaked at 37.0 MiB, and
     # gathering the int64 index of a whole level at 70.9 MiB
     assert peak < 35 * 2**20
+
+
+def test_odd_plan_build_holds_half_the_pair_index():
+    tracemalloc.start()
+    try:
+        plan(4095)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 34.2 MiB with the odd part's index rows 0..2047; holding all 4095
+    # rows of it peaked at 66.2 MiB
+    assert peak < 40 * 2**20
 
 
 def test_wrong_length_input_rejected():
