@@ -98,11 +98,12 @@ _ROW_BLOCK = 64
 
 def _product_rows(n: int, rows: range, width: int):
     """Row blocks of the product index i*j mod n as int64 arrays, over the
-    rows i in the range and the columns j = 0..width-1: range(n // 2 + 1)
-    at width n for _product_table or n // 2 + 1 (one column of each pair
-    (j, n - j mod n)) for _paired_plan and analysis._power_traces, and
-    range(1, n // 2 + 1, 2) at width n // 2 (n even), the odd rows i <= n/2
-    of the even/odd split (_level_kernel).
+    rows i in the range and the columns j = 0..width-1.  Its callers take
+    the rows i <= n/2, the others being mirrors: range(n // 2 + 1) at width
+    n (_product_table) or at width n // 2 + 1, one column of each pair
+    (j, n - j mod n) (_paired_plan and analysis._power_traces), and
+    range(1, n // 2 + 1, 2) at width n // 2 (n even), the odd rows of the
+    even/odd split (_level_kernel).
 
     Yields 64 rows at a time (the last block is shorter when 64 does not
     divide their count).  The first block is reduced with one division per
@@ -128,19 +129,19 @@ def _product_rows(n: int, rows: range, width: int):
         yield block[: len(i) - start]
 
 
-def _product_table(table: np.ndarray, width: int) -> np.ndarray:
-    """The matrix table[i*j mod n] over the rows i = 0..n-1 and the columns
-    j = 0..width-1, n = len(table).  Only the rows i <= n//2 of the product
-    index are formed (_product_rows), a block at a time, so no index array
-    of the whole matrix is held; row n - i is row i of the mirrored table."""
+def _product_table(table: np.ndarray) -> np.ndarray:
+    """The n x n matrix table[i*j mod n], n = len(table).  Only the rows
+    i <= n//2 of the product index are formed (_product_rows), a block at a
+    time, so no index array of the whole matrix is held; row n - i is row i
+    of the mirrored table."""
     n = len(table)
     mirrored = _mirror(table)
-    out = np.empty((n, width), dtype=table.dtype)
+    out = np.empty((n, n), dtype=table.dtype)
     back = out[::-1]  # back[i - 1] is row n - i
     start = 0
     # mode="wrap" (every index is already below n) lets take fill out in
     # place, where the default mode buffers out
-    for block in _product_rows(n, range(n // 2 + 1), width):
+    for block in _product_rows(n, range(n // 2 + 1), n):
         stop = start + len(block)
         np.take(table, block, out=out[start:stop], mode="wrap")
         skip = 1 if start == 0 else 0  # row n - 0 is row 0
@@ -201,51 +202,68 @@ def _kernel_counts(r: np.ndarray) -> np.ndarray:
 
 def _level_kernel(r: np.ndarray) -> tuple:
     """Signed columns (k for a +1, m/2 + k for a -1) and row starts of the
-    odd block G[a, k] = r[(2a+1)*k mod m], k < m/2, r the rounded cas table
-    of an even order m, so row a of G @ x sums concatenate([x, -x]) over
-    cols[starts[a]:starts[a + 1]] (_row_sums).  No row is empty, which
-    reduceat could not sum: column 0 reads r[0] = 1.
+    rows i = 2a+1 <= m/2 of the odd block G[a, k] = r[(2a+1)*k mod m],
+    k < m/2, r the rounded cas table of an even order m, so row a of G @ x
+    sums concatenate([x, -x]) over cols[starts[a]:starts[a + 1]]
+    (_row_sums).  No row is empty, which reduceat could not sum: column 0
+    reads r[0] = 1.
+
+    The rows i > m/2 are not held: row m - i (G's row m/2 - 1 - a) is row
+    i read over y, with y_0 = x_0 and y_k = -x_{m/2-k} (_run_plan).  For
+    1 <= k < m/2, r[-i*k] = -r[i*(m/2 - k)], since r[x + m/2] = -r[x] and
+    i*m/2 = m/2 mod m for odd i; column 0 is 1 in both rows.  When m/2 is
+    odd, row m/2 is its own mirror.
 
     A code table gives each value of r the offset of its term, -m for a 0
     (negative for every k < m/2), and is read over the product index 64 rows
     at a time into a column array sized by _kernel_counts; a row block whose
-    nonzeros disagree with them fails the slice assignment.  Only the rows
-    i = 2a+1 <= m/2 of the index are formed: row m - i, which is G's row
-    m/2 - 1 - a, reads r[-i*k mod m], the mirrored code table at row i's
-    index.  When m/2 is odd, row m/2 is its own mirror and is read once.
+    nonzeros disagree with them fails the slice assignment.
     """
     m = len(r)
     half = m // 2
-    counts = _kernel_counts(r)
+    counts = _kernel_counts(r)[: (half + 1) // 2]
     ends = np.cumsum(counts)
     starts = ends - counts
     cols = np.empty(ends[-1], dtype=np.intp)
     code = np.array((-m, 0, half), dtype=np.min_scalar_type(-m)).take(r)
-    mirrored = _mirror(code)
     k = np.arange(half, dtype=code.dtype)
-
-    def signed(table, rows):
-        terms = table.take(rows)
-        terms += k
-        # compress, not terms[terms >= 0]: on a 64 x 300 int16 block with
-        # numpy 2.4.6 it takes 21.5 us against 82.0 us (2-core x86-64 host)
-        return terms.ravel().compress((terms >= 0).ravel())
-
     a = 0
     for block in _product_rows(m, range(1, half + 1, 2), half):
         b = a + len(block)
-        cols[starts[a] : ends[b - 1]] = signed(code, block)
-        c = min(b, half // 2)  # rows a..c-1 have a mirror other than themselves
-        if c > a:  # G's rows m/2 - c..m/2 - 1 - a, in that order
-            cols[starts[half - c] : ends[half - 1 - a]] = signed(mirrored, block[: c - a][::-1])
+        terms = code.take(block)
+        terms += k
+        # compress, not terms[terms >= 0]: on a 64 x 300 int16 block with
+        # numpy 2.4.6 it takes 21.5 us against 82.0 us (2-core x86-64 host)
+        cols[starts[a] : ends[b - 1]] = terms.ravel().compress((terms >= 0).ravel())
         a = b
     return cols, starts
 
 
-def _row_sums(rows: tuple, x: np.ndarray) -> np.ndarray:
-    """kernel @ x from _level_kernel or _paired_plan: additions and sign flips only."""
+# Terms a kernel gathers at a time, in whole rows: 512 KiB of two float64
+# columns.  On a 2-core x86-64 host, fast_rht at 4095 took 7.8 ms so
+# against 8.0 ms with 2**14 terms, 8.2 ms with 2**16, and 18.4 ms gathering
+# all (h + 1)**2 terms of its odd part at once (64 MiB).
+_GATHER_TERMS = 1 << 15
+
+
+def _row_sums(rows: tuple, terms: np.ndarray) -> np.ndarray:
+    """Row sums of a kernel from _level_kernel or _paired_plan over each
+    column of terms, whose second half of rows negates the first:
+    additions and sign flips only.  A kernel of more than _GATHER_TERMS
+    terms is gathered and summed a block of rows at a time; every row sums
+    the same terms in the same order either way."""
     cols, starts = rows
-    return np.add.reduceat(np.concatenate([x, -x]).take(cols), starts)
+    if len(cols) <= _GATHER_TERMS:
+        return np.add.reduceat(terms.take(cols, axis=0), starts, axis=0)
+    sums = np.empty((len(starts), terms.shape[1]))
+    # the rows holding terms 0, _GATHER_TERMS, 2 * _GATHER_TERMS, ...
+    marks = np.arange(0, len(cols), _GATHER_TERMS)
+    bounds = np.unique(np.searchsorted(starts, marks, side="right") - 1).tolist()
+    for a, b in zip(bounds, bounds[1:] + [len(starts)]):
+        lo = starts[a]
+        hi = starts[b] if b < len(starts) else len(cols)
+        np.add.reduceat(terms.take(cols[lo:hi], axis=0), starts[a:b] - lo, axis=0, out=sums[a:b])
+    return sums
 
 
 # Where the term a*x_j + b*x_{q-j} of a column pair lies in the first half
@@ -257,15 +275,13 @@ _PAIR_KIND = np.array([0, 1, 3, 2, 0, 2, 3, 1, 0])
 
 
 def _paired_plan(r: np.ndarray) -> tuple:
-    """Row-sum kernels (_row_sums) of the odd-order-q rounded transform, r
-    its rounded cas table: one for outputs 0..h and one for outputs
-    q - h..q - 1, both over the h + 1 terms per row read from the vectors
+    """The row-sum kernel (_row_sums) of the odd-order-q rounded transform,
+    r its rounded cas table: rows i = 0..h, each of h + 1 terms read from
 
         x_0, s_1..s_h, x_1..x_h, x_{q-1}..x_{q-h}, d_1..d_h   (front)
-        x_0, s_1..s_h, x_{q-1}..x_{q-h}, x_1..x_h, -d_1..-d_h (back)
 
-    of the column pairs (j, q - j): h = (q - 1)/2, s_j = x_j + x_{q-j} and
-    d_j = x_j - x_{q-j}.
+    over the column pairs (j, q - j): h = (q - 1)/2, s_j = x_j + x_{q-j}
+    and d_j = x_j - x_{q-j}.
 
     Output i is x_0 plus a*x_j + b*x_{q-j} summed over the pairs j = 1..h,
     with a = r[i*j mod q] and b = r[-i*j mod q].  That is one signed term:
@@ -274,11 +290,14 @@ def _paired_plan(r: np.ndarray) -> tuple:
     max(|sin t|, |cos t|) >= 1; column j = 0 has x = 0, whose code (1, 1)
     reads s_0 = x_0.  Output q - i reads (b, a) where output i reads (a, b):
     s_j keeps its sign, x_j and x_{q-j} trade places and d_j changes sign,
-    so row i of the kernel over the back vector is output q - i.  The
-    kernel is an (h + 1) x (h + 1) index over rows i = 0..h of the paired
-    product index, a code table of the pair kinds and signs read there a
-    block at a time (_product_rows) plus the pair number j; the back kernel
-    is its rows 1..h, a view.
+    so row i read from
+
+        x_0, s_1..s_h, x_{q-1}..x_{q-h}, x_1..x_h, -d_1..-d_h  (back)
+
+    is output q - i, for i = 1..h (_run_plan).  The kernel is an
+    (h + 1) x (h + 1) index over rows i = 0..h of the paired product index,
+    a code table of the pair kinds and signs read there a block at a time
+    (_product_rows) plus the pair number j.
     """
     q = len(r)
     h = q // 2
@@ -298,8 +317,15 @@ def _paired_plan(r: np.ndarray) -> tuple:
         np.take(table, block, out=rows, mode="wrap")
         rows += j  # while the block is in cache
         start += len(block)
-    cols, starts = index.ravel(), np.arange(0, index.size, h + 1)
-    return (cols, starts), (cols[h + 1 :], starts[:-1])
+    return index.ravel(), np.arange(0, index.size, h + 1)
+
+
+def _row_additions(rows: tuple, mirrored: slice) -> int:
+    """Additions of a kernel's row sums, z - 1 for a row of z terms: once
+    for every row it holds and once more for each row in mirrored."""
+    cols, starts = rows
+    adds = np.diff(starts, append=len(cols)) - 1
+    return int(adds.sum() + adds[mirrored].sum())
 
 
 class FastPlan:
@@ -316,16 +342,18 @@ class FastPlan:
     (low - high).  The plan peels factors of two this way down to the odd
     part q of n (_split_orders).  It holds the signed row-sum kernel of G
     at each level (_level_kernel), and at the bottom that of the order-q
-    transform over the column pairs (j, q - j) (_paired_plan).  Both are a
-    small code table read over the product index i*j mod n plus the column
-    number, formed only at the rows i <= n/2: row n - i reads the mirrored
-    table there.  The odd part holds rows 0..h (h = (q - 1)/2) once and
-    runs them twice, its rows 1..h as a second kernel over swapped terms.
+    transform over the column pairs (j, q - j) (_paired_plan).  Each is a
+    small code table read over the product index i*j mod m plus the column
+    number, and holds only the rows i <= m/2 of its order m: a run sums a
+    kernel over two term columns at once, and row m - i is row i over the
+    second (_run_plan).
 
     The additions a run takes depend on the plan alone, so they are counted
     here, once: a butterfly stage of order m takes m, the pair terms h sums
     and h differences, and a kernel row of z terms z - 1 after a signed
-    copy, for each kernel a run sums.
+    copy, for every row a run writes: each held row, and again each one
+    whose mirror is another row (the rows a < m/4 of a level, the rows
+    1..h of the odd part).
     Immutable after construction and shareable.
     """
 
@@ -342,39 +370,61 @@ class FastPlan:
         levels, q = _split_orders(order)
         self._levels = tuple(_level_kernel(r[:: order // m]) for m in levels)
         self._base = _paired_plan(r[:: order // q])
-        self._additions = 2 * (order - q) + (q - 1) + sum(
-            len(cols) - len(starts) for cols, starts in (*self._levels, *self._base)
-        )
+        self._additions = 2 * (order - q) + (q - 1) + _row_additions(self._base, slice(1, None))
+        self._additions += sum(_row_additions(k, slice(m // 4)) for k, m in zip(self._levels, levels))
 
 
 def _run_plan(p: FastPlan, v: np.ndarray) -> np.ndarray:
     """H @ v through the plan, in one pass down the butterflies.
 
-    At level t (order n / 2**t) the odd-block kernel gives outputs
-    (2a + 1) * 2**t, which are written at their stride as the butterflies
-    run; the odd part q, at the bottom, gives outputs i * 2**e
-    (n = 2**e * q) from the pair terms of _paired_plan: its front kernel
-    outputs i = 0..h, and its back kernel, the same rows 1..h over the
-    terms with x_j and x_{q-j} swapped and d_j negated (a sign flip, not an
-    addition), outputs q - i.  Every output sums the values it summed over
-    the whole q-row kernel, in the same order.  At q = 1 the kernel is the
-    identity, and the signal is copied instead.
+    Each kernel is summed once, over a term array of two columns, each
+    over its negation (_row_sums): column 0 gives its rows i and column 1
+    the rows m - i.  At level t (order m = n / 2**t) the columns are
+    x = low - high and y, with y_0 = x_0 and y_k = -x_{m/2-k}
+    (_level_kernel), and give the outputs (2a + 1) * 2**t, written at their
+    stride as the butterflies run.  The odd part q, at the bottom, gives
+    outputs i * 2**e (n = 2**e * q) from the front and back pair terms of
+    _paired_plan (the back ones swap x_j and x_{q-j} and negate d_j, a sign
+    flip, not an addition): rows i = 0..h over the front, and q - i over
+    the back.  The self-mirrored row m/2 (m/2 odd) and the odd part's back
+    row 0 are dropped.  Column 0 sums a row's terms in column order, and a
+    level's row m - i sums its terms in reversed column order, so a float
+    output there can differ in its last bits from a row-by-row sum; an
+    integer one is exact either way.  At q = 1 the kernel is the identity,
+    and the signal is copied instead.
     """
     out = np.empty(len(v))
     step = 1
     for rows in p._levels:
         half = len(v) // 2
-        out[step :: 2 * step] = _row_sums(rows, v[:half] - v[half:])
+        terms = np.empty((2 * half, 2))
+        x = np.subtract(v[:half], v[half:], out=terms[:half, 0])
+        terms[0, 1] = x[0]
+        np.negative(x[:0:-1], out=terms[1:half, 1])
+        np.negative(terms[:half], out=terms[half:])
+        sums = _row_sums(rows, terms)
+        odd = out[step :: 2 * step]  # G's rows 0..half - 1
+        odd[: len(sums)] = sums[:, 0]
+        odd[::-1][: half // 2] = sums[: half // 2, 1]  # rows a < m/4, mirrored
         v = v[:half] + v[half:]
         step *= 2
     h = len(v) // 2
     if h:
-        near, far = v[1 : h + 1], v[:h:-1]
-        s, d = near + far, near - far
-        front, back = p._base
-        out[: (h + 1) * step : step] = _row_sums(front, np.concatenate((v[:1], s, near, far, d)))
-        # back row i is output q - i: written from q - 1 down to h + 1
-        out[-step : h * step : -step] = _row_sums(back, np.concatenate((v[:1], s, far, near, -d)))
+        w = 4 * h + 1
+        terms = np.empty((2 * w, 2))  # [front, back] over their negation
+        terms[0] = v[0]
+        pairs = terms[h + 1 : 2 * h + 1]
+        pairs[:, 0] = v[1 : h + 1]
+        pairs[:, 1] = v[:h:-1]
+        swapped = pairs[:, ::-1]
+        terms[2 * h + 1 : 3 * h + 1] = swapped
+        np.add(pairs, swapped, out=terms[1 : h + 1])
+        np.subtract(pairs, swapped, out=terms[3 * h + 1 : w])
+        np.negative(terms[:w], out=terms[w:])
+        sums = _row_sums(p._base, terms)
+        part = out[::step]  # outputs 0..q - 1
+        part[: h + 1] = sums[:, 0]
+        part[::-1][:h] = sums[1:, 1]  # output q - i from row i
     else:
         out[::step] = v
     return out
@@ -453,7 +503,7 @@ def build_dht_matrix(
     """
     if n < 1:
         raise ValueError("order must be positive")
-    h = _product_table(_cas_table(n), n)
+    h = _product_table(_cas_table(n))
     if normalization is Normalization.SYMMETRIC:
         h /= math.sqrt(n)
     return h
@@ -468,7 +518,7 @@ def build_rht_matrix(n: int) -> TernaryMatrix:
     """
     if n < 1:
         raise ValueError("order must be positive")
-    return TernaryMatrix(n, _product_table(_rounded_cas(n), n))
+    return TernaryMatrix(n, _product_table(_rounded_cas(n)))
 
 
 def rounded_transform(n: int, normalization: Normalization) -> ScaledTransform:
@@ -494,8 +544,10 @@ def apply_direct(t: ScaledTransform, v) -> Spectrum:
     partial sum is bounded by n * max|v|.  The input of an order-m level is
     bounded by (n/m) * max|v| and its butterfly sums and differences by
     twice that, so a row of its odd block, m/2 terms, stays within
-    n * max|v|; at the odd part q, a row is x_0 plus (q - 1)/2 pair terms
-    of at most 2(n/q) * max|v| each, again within n * max|v|.  So the
+    n * max|v|; a mirrored row reads y (_run_plan), a signed permutation of
+    the same differences, so it does too.  At the odd part q, a row is x_0
+    plus (q - 1)/2 pair terms of at most 2(n/q) * max|v| each, again within
+    n * max|v|, and the back terms are a signed permutation of them.  So the
     result is exact for integer v while n * max|v| < 2**53.  In SYMMETRIC
     mode it is scaled by n**-0.5 once.
     """

@@ -7,11 +7,13 @@ this way down to the odd part q of n, so a power of two runs down to order
 1.  The order-q transform is applied over the column pairs (j, q - j): from
 the pair sums and differences each output reads x_0 plus one signed term
 per pair.  Output q - i reads output i's terms with x_j and x_{q-j} swapped
-and d_j negated, so the plan holds rows 0..(q - 1)/2 of the odd part, and
-each odd block forms half its rows' index and reads the other half from
-the mirrored code table.  Every kernel, the odd blocks and the odd part
-alike, is a signed row sum (core._row_sums), and every other step a sum or
-a difference: no products.  The same plan serves core.apply_direct.
+and d_j negated, and row m - i of an order-m odd block reads row i's terms
+over its input with x_0 kept and x_1..x_{m/2-1} reversed and negated.  So
+every kernel holds only its rows i <= m/2, and a run sums each kernel once
+over a term array of two columns, one for rows i and one for rows m - i.
+Every kernel, the odd blocks and the odd part alike, is a signed row sum
+(core._row_sums), and every other step a sum or a difference: no products.
+The same plan serves core.apply_direct.
 """
 
 from __future__ import annotations

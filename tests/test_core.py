@@ -312,19 +312,19 @@ def test_paired_product_rows_are_the_half_index_mod_n(n):
 def test_product_table_is_the_table_at_the_product_index(n):
     # rows n//2 + 1.. come from the mirrored table, at both parities of n
     tables = [np.random.default_rng(n).integers(-99, 100, size=n), core._cas_table(n)]
+    a = np.arange(n)
     for table in tables:
-        for width in (n, n // 2 + 1):
-            want = table[np.multiply.outer(np.arange(n), np.arange(width)) % n]
-            got = core._product_table(table, width)
-            assert got.dtype == table.dtype
-            assert np.array_equal(got, want)
+        got = core._product_table(table)
+        assert got.dtype == table.dtype
+        assert np.array_equal(got, table[np.multiply.outer(a, a) % n])
 
 
 @pytest.mark.parametrize("m", list(range(2, 301, 2)) + [1000, 2048, 4096])
 def test_level_kernel_reads_the_signed_nonzeros_of_the_odd_block(m):
+    # only the rows i <= m/2; row m - i is read from row i (next test)
     r = core._rounded_cas(m)
     k = np.arange(m // 2)
-    block = r[np.multiply.outer(np.arange(1, m, 2), k) % m]
+    block = r[np.multiply.outer(np.arange(1, m // 2 + 1, 2), k) % m]
     signed = np.where(block < 0, m // 2 + k, k)
     counts = np.count_nonzero(block, axis=1)
     cols, starts = core._level_kernel(r)
@@ -332,6 +332,21 @@ def test_level_kernel_reads_the_signed_nonzeros_of_the_odd_block(m):
     assert np.array_equal(cols, signed[block != 0])
     assert np.array_equal(starts, np.cumsum(counts) - counts)
     assert counts.all()  # reduceat cannot sum an empty row
+
+
+@pytest.mark.parametrize("m", list(range(2, 301, 2)) + [1000, 2048, 4096])
+def test_mirrored_odd_block_row_is_the_row_over_reversed_negated_columns(m):
+    # G[m - i, k] = -G[i, m/2 - k] for 1 <= k < m/2 and G[m - i, 0] = 1, so
+    # row m - i of G @ x is row i of G @ y, y_0 = x_0 and y_k = -x_{m/2-k}
+    r = core._rounded_cas(m)
+    k = np.arange(m // 2)
+    rows = r[np.multiply.outer(np.arange(1, m, 2), k) % m]  # i = 1, 3, .., m - 1
+    mirrored = rows[::-1]  # m - i
+    assert (mirrored[:, 0] == 1).all()
+    assert np.array_equal(mirrored[:, 1:], -rows[:, :0:-1])
+    x = np.random.default_rng(m).integers(-(2**31), 2**31 + 1, m // 2)
+    y = np.concatenate((x[:1], -x[:0:-1]))
+    assert np.array_equal(mirrored @ x, rows @ y)
 
 
 def test_rht_matrix_build_holds_no_square_index_array():
@@ -353,8 +368,9 @@ def test_rounded_transform_holds_no_square_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the plan of 1000 = 8 * 125 peaks near 2.4 MiB; the n x n int64
-    # matrix alone would be 7.6 MiB, and building it peaked at 22 MiB
+    # the plan of 1000 = 8 * 125 peaks near 1.3 MiB (2.2 MiB holding every
+    # row of each level); the n x n int64 matrix alone would be 7.6 MiB,
+    # and building it peaked at 22 MiB
     assert peak < 4 * 2**20
 
 

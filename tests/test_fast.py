@@ -125,7 +125,7 @@ def _assert_fast_direct_dense_agree(n, v):
     direct = apply_direct(rounded_transform(n, Normalization.UNSCALED), v)
     assert np.array_equal(fast.coefficients, dense.astype(np.float64)), n
     assert np.array_equal(direct.coefficients, dense.astype(np.float64)), n
-    assert ops.multiplications == 0
+    assert ops == count_model(n), n  # the plan's own tally, multiplications 0
 
 
 @settings(deadline=None, max_examples=3)
@@ -197,16 +197,26 @@ def test_odd_orders_take_q_minus_one_times_q_plus_two_over_two_additions():
 
 @pytest.mark.parametrize("q", list(range(1, 302, 2)) + [999, 2047, 4095])
 def test_odd_part_kernel_holds_half_the_rows(q):
-    # rows i and q - i share one index row, read over swapped pair terms;
-    # the back kernel is rows 1..h of the front one
+    # rows i and q - i share one index row, summed over the front and the
+    # back pair terms at once; the tally counts rows 1..h twice
     p = plan(q)
-    (cols, starts), (back_cols, back_starts) = p._base
+    cols, starts = p._base
     h = q // 2
     assert cols.shape == ((h + 1) ** 2,)
     assert np.array_equal(starts, np.arange(0, cols.size, h + 1))
-    assert np.array_equal(back_cols, cols[h + 1 :])
-    assert np.array_equal(back_starts, starts[:-1])
     assert p._additions == count_model(q).additions
+
+
+@pytest.mark.parametrize("terms", [1, 5, 64])
+def test_blocked_gather_sums_what_one_gather_sums(terms, monkeypatch):
+    # every kernel to order 300 is below _GATHER_TERMS; shrinking it runs
+    # them all through blocks of rows, rows longer than a block included
+    rng = np.random.default_rng(terms)
+    plans = [(plan(n), rng.normal(size=n)) for n in range(1, 301)]
+    whole = [fast_rht(p, v)[0].coefficients for p, v in plans]
+    monkeypatch.setattr(core, "_GATHER_TERMS", terms)
+    for (p, v), want in zip(plans, whole):
+        assert np.array_equal(fast_rht(p, v)[0].coefficients, want), p.order
 
 
 # the angles 2*pi*2/5 and 2*pi*3/5 of order n, and at n = 20 also the
@@ -236,10 +246,11 @@ def test_plan_build_holds_no_whole_level_index():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 33.1 MiB with the levels read 64 rows at a time; holding an int8 odd
-    # block of the whole order across the levels peaked at 37.0 MiB, and
-    # gathering the int64 index of a whole level at 70.9 MiB
-    assert peak < 35 * 2**20
+    # 16.8 MiB holding the rows i <= m/2 of each level; all rows, read 64
+    # at a time, peaked at 33.1 MiB, holding an int8 odd block of the whole
+    # order across the levels at 37.0 MiB, and gathering the int64 index of
+    # a whole level at 70.9 MiB
+    assert peak < 20 * 2**20
 
 
 def test_odd_plan_build_holds_half_the_pair_index():
@@ -252,6 +263,20 @@ def test_odd_plan_build_holds_half_the_pair_index():
     # 34.2 MiB with the odd part's index rows 0..2047; holding all 4095
     # rows of it peaked at 66.2 MiB
     assert peak < 40 * 2**20
+
+
+def test_odd_part_run_gathers_a_block_of_rows_at_a_time():
+    p = plan(4095)
+    v = np.ones(4095)
+    tracemalloc.start()
+    try:
+        fast_rht(p, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 0.85 MiB gathering 2**15 terms at a time; one gather of the whole
+    # kernel peaked at 32.3 MiB over one term column, 64.3 MiB over two
+    assert peak < 2 * 2**20
 
 
 def test_wrong_length_input_rejected():
